@@ -256,43 +256,14 @@ def _expected_cells(n: int) -> Dict[Cell, int]:
     return expected
 
 
-def _count_cells(problem: TraceProblem, patterns) -> Dict[Cell, int]:
+def accounting_audit(n: int, budget: Optional[int] = None) -> AuditReport:
+    """Count necklaces per cell and compare with every matrix entry."""
+    problem = TraceProblem(4, 2, n)
     counts: Dict[Cell, int] = {}
-    for k in enumerate_necklaces(problem, patterns=patterns):
+    for k in enumerate_necklaces(problem, budget=budget):
         cell = classify_necklace(k).cell
         counts[cell] = counts.get(cell, 0) + 1
-    return counts
-
-
-def accounting_audit(n: int, budget: Optional[int] = None,
-                     workers: int = 1) -> AuditReport:
-    """Count necklaces per cell and compare with every matrix entry.
-
-    Workers partition the letter patterns; local counters merge in
-    partition order, so the report is independent of the worker count.
-    """
-    from .necklace import letter_patterns
-
-    problem = TraceProblem(4, 2, n)
-    if budget is not None and problem.necklace_count() > budget:
-        from .necklace import BudgetExceeded
-
-        raise BudgetExceeded(problem.necklace_count(), budget)
     expected = _expected_cells(n)
-    patterns = letter_patterns(4, 2)
-    if workers <= 1:
-        counts = _count_cells(problem, patterns)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [patterns[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda ch: _count_cells(problem, ch),
-                                     chunks))
-        counts = {}
-        for part in partials:
-            for cell, c in part.items():
-                counts[cell] = counts.get(cell, 0) + c
     total = sum(counts.values())
     mismatches = []
     for cell in sorted(set(expected) | set(counts), key=repr):

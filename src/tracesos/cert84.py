@@ -288,10 +288,6 @@ def assemble_sos_84(cert: Certificate84) -> Polynomial:
     return total
 
 
-def entry_sum_84(cert: Certificate84):
-    return cert.entry_sum()
-
-
 Equation = Tuple[Tuple[Tuple[int, int], ...], int]
 
 

@@ -33,19 +33,16 @@ class CheckResult:
         return out
 
 
-def check_dual_oracle(max_n_42: int = 5, max_n_84: int = 5,
-                      workers: int = 1) -> CheckResult:
+def check_dual_oracle(max_n_42: int = 5, max_n_84: int = 5) -> CheckResult:
     """Necklace and matrix oracles agree term-for-term."""
     bad = []
     for n in range(1, max_n_42 + 1):
         p = TraceProblem(4, 2, n)
-        if necklace.trace_coeff_necklace(p, workers=workers) != \
-                necklace.trace_coeff_matrix(p):
+        if necklace.trace_coeff_necklace(p) != necklace.trace_coeff_matrix(p):
             bad.append(("(4,2)", n))
     for n in range(1, max_n_84 + 1):
         p = TraceProblem(8, 4, n, diagonal_a=True)
-        if necklace.trace_coeff_necklace(p, workers=workers) != \
-                necklace.trace_coeff_matrix(p):
+        if necklace.trace_coeff_necklace(p) != necklace.trace_coeff_matrix(p):
             bad.append(("(8,4) diag", n))
     detail = (f"(4,2) n=1..{max_n_42} and (8,4) n=1..{max_n_84} agree"
               if not bad else f"disagreement at {bad}")
@@ -128,15 +125,14 @@ def check_entry_sums(max_n_42: int = 8, max_n_84: int = 7) -> CheckResult:
         f"collapses to 43750" if not bad else f"failures: {bad}")
 
 
-def check_identity_84(max_n: int = 7, big: bool = False,
-                      workers: int = 1) -> CheckResult:
+def check_identity_84(max_n: int = 7, big: bool = False) -> CheckResult:
     """Assembled squares equal the diagonal-A coefficient polynomial."""
     top = 9 if big else max_n
     bad = []
     for n in range(1, top + 1):
         cert = cert84.build_certificate84(n)
         target = necklace.trace_coeff_necklace(
-            TraceProblem(8, 4, n, diagonal_a=True), workers=workers)
+            TraceProblem(8, 4, n, diagonal_a=True))
         if cert84.assemble_sos_84(cert) != target:
             bad.append(n)
     return CheckResult("identity-84", not bad,
@@ -306,9 +302,9 @@ def _random_poly(rng: random.Random, n: int = 3, max_terms: int = 4,
     return poly.Polynomial(terms)
 
 
-def check_properties(cases: int = 1000, workers_list=(1, 2, 3)) -> CheckResult:
-    """Ring laws on random polynomials, relabeling invariance, the
-    a<->b swap symmetry, and worker-count determinism."""
+def check_properties(cases: int = 1000) -> CheckResult:
+    """Ring laws on random polynomials, relabeling invariance and the
+    a<->b swap symmetry."""
     rng = random.Random(0x5305)
     problems = []
     ran = 0
@@ -330,27 +326,21 @@ def check_properties(cases: int = 1000, workers_list=(1, 2, 3)) -> CheckResult:
         rhs = poly.swap_ab(necklace.trace_coeff_necklace(TraceProblem(m, m - r, 2)))
         if lhs != rhs:
             problems.append(f"swap ({m},{r})")
-    for prob in (TraceProblem(4, 2, 3), TraceProblem(8, 4, 2, diagonal_a=True)):
-        outs = {json.dumps(necklace.trace_coeff_necklace(prob, workers=w)
-                           .to_jsonable()) for w in workers_list}
-        if len(outs) != 1:
-            problems.append(f"worker determinism {prob}")
     return CheckResult(
         "property-suite", not problems,
-        f"{ran} ring-law cases, relabeling, a/b swap, worker determinism"
+        f"{ran} ring-law cases, relabeling, a/b swap"
         if not problems else f"failures: {sorted(set(problems))}")
 
 
-def run_all(max_n_42: int = 5, max_n_84: int = 5, big: bool = False,
-            workers: int = 1) -> List[CheckResult]:
+def run_all(max_n_42: int = 5, max_n_84: int = 5,
+            big: bool = False) -> List[CheckResult]:
     results = [
-        check_dual_oracle(max_n_42=max_n_42, max_n_84=min(max_n_84, 5),
-                          workers=workers),
+        check_dual_oracle(max_n_42=max_n_42, max_n_84=min(max_n_84, 5)),
         check_counterexample(),
         check_identity_42(max_n=max(max_n_42, 6)),
         check_audit_42(max_n=4),
         check_entry_sums(),
-        check_identity_84(max_n=max(max_n_84, 7), big=big, workers=workers),
+        check_identity_84(max_n=max(max_n_84, 7), big=big),
         check_param_system(),
         check_psd_suite(),
         check_square_formula(),

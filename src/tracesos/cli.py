@@ -2,9 +2,9 @@
 
 Subcommands: coeff, cert42, audit42, cert84, paramsys, psd, sdp-export,
 sdp-verify, reproduce, verify-all.  Every command is deterministic for a
-given invocation (worker count included) and uses exit codes as the
-machine contract: 0 on success/verified, 1 on a failed verification,
-2 on bad usage.
+given invocation and uses exit codes as the machine contract: 0 on
+success/verified, 1 on a failed verification, 2 on bad usage or
+unreadable input.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ def _budget(args) -> int | None:
 def cmd_coeff(args) -> int:
     problem = TraceProblem(args.m, args.r, args.n, diagonal_a=args.diagonal_a)
     if args.oracle == "necklace":
-        p = necklace.trace_coeff_necklace(problem, budget=_budget(args),
-                                          workers=args.workers)
+        p = necklace.trace_coeff_necklace(problem, budget=_budget(args))
     else:
         p = necklace.trace_coeff_matrix(problem, budget=_budget(args))
     payload = {"m": args.m, "r": args.r, "n": args.n,
@@ -383,7 +382,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_verify_all(args) -> int:
     results = checks.run_all(max_n_42=args.max_n_42, max_n_84=args.max_n_84,
-                             big=args.big, workers=args.workers)
+                             big=args.big)
     if args.json:
         print(json.dumps(
             [{"name": r.name, "ok": r.ok, "detail": r.detail, "notes": r.notes}
@@ -404,14 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certificates for trace-power coefficients")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, budget=True, workers=False, out=True):
+    def add_common(p, budget=True, out=True):
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="max enumeration visits (default 1e8)")
             p.add_argument("--big", action="store_true",
                            help="lift the enumeration budget")
-        if workers:
-            p.add_argument("--workers", type=int, default=1)
         if out:
             p.add_argument("--out", help="write JSON here instead of stdout")
 
@@ -422,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagonal-a", action="store_true")
     p.add_argument("--oracle", choices=("necklace", "matrix"),
                    default="necklace")
-    add_common(p, workers=True)
+    add_common(p)
     p.set_defaults(func=cmd_coeff)
 
     p = sub.add_parser("cert42", help="build the degree-4 certificate")
@@ -496,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n-84", type=int, default=5)
     p.add_argument("--big", action="store_true",
                    help="include n = 8, 9 in the degree-8 identity")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_all)
     return parser
@@ -507,10 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, UnknownObject) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (BudgetExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

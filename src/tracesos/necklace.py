@@ -8,8 +8,8 @@ between vertices t and t+1 mod m).
 
 Two independent constructions of the same polynomial are provided: direct
 enumeration of the cycles, and symbolic powering of the n-by-n matrix
-A + B with the b-degree sliced to r.  They are compared term-for-term in
-the test suite; neither is derived from the other.
+A + tB kept as its t-slices up to t^r.  They are compared term-for-term
+in the test suite; neither is derived from the other.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .poly import (
-    Coeff,
-    Monomial,
-    Polynomial,
-    mono_from_vars,
-    mono_kind_degree,
-    mono_mul,
-    var,
-)
+from .poly import Coeff, Monomial, Polynomial, mono_from_vars, mono_mul, var
 
 DEFAULT_BUDGET = 10**8
 
@@ -140,11 +132,15 @@ def planned_visits(p: TraceProblem, skip_zero: bool = False) -> int:
     return p.necklace_count()
 
 
+def _check_budget(planned: int, budget: Optional[int]) -> None:
+    if budget is not None and planned > budget:
+        raise BudgetExceeded(planned, budget)
+
+
 def enumerate_necklaces(
     p: TraceProblem,
     skip_zero: bool = False,
     budget: Optional[int] = None,
-    patterns: Optional[Sequence[Tuple[str, ...]]] = None,
 ) -> Iterator[Necklace]:
     """Yield each (m, r, n)-necklace exactly once, in deterministic order.
 
@@ -152,12 +148,8 @@ def enumerate_necklaces(
     are not generated at all; otherwise every one of C(m,r)*n^m cycles is
     yielded, zero-monomial ones included.
     """
-    if budget is not None:
-        planned = planned_visits(p, skip_zero=skip_zero and p.diagonal_a)
-        if planned > budget:
-            raise BudgetExceeded(planned, budget)
-    if patterns is None:
-        patterns = letter_patterns(p.m, p.r)
+    _check_budget(planned_visits(p, skip_zero=skip_zero), budget)
+    patterns = letter_patterns(p.m, p.r)
     labels = range(1, p.n + 1)
     if skip_zero and p.diagonal_a:
         for pat in patterns:
@@ -174,120 +166,56 @@ def enumerate_necklaces(
                 yield Necklace(pat, edges)
 
 
-def trace_coeff_necklace(
-    p: TraceProblem,
-    budget: Optional[int] = None,
-    workers: int = 1,
-) -> Polynomial:
+def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polynomial:
     """Coefficient polynomial by direct necklace enumeration."""
-    if budget is not None:
-        planned = planned_visits(p, skip_zero=p.diagonal_a)
-        if planned > budget:
-            raise BudgetExceeded(planned, budget)
-    patterns = letter_patterns(p.m, p.r)
-    if workers <= 1:
-        return Polynomial.from_raw(_pattern_sum(p, patterns))
-    chunks = [patterns[i::workers] for i in range(workers)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(lambda ch: _pattern_sum(p, ch), chunks))
-    total: Dict[Monomial, Coeff] = {}
-    for part in partials:
-        for m, c in part.items():
-            total[m] = total.get(m, 0) + c
-    return Polynomial.from_raw(total)
-
-
-def _pattern_sum(p: TraceProblem, patterns) -> Dict[Monomial, Coeff]:
     acc: Dict[Monomial, Coeff] = {}
-    for k in enumerate_necklaces(p, skip_zero=p.diagonal_a, patterns=patterns):
+    for k in enumerate_necklaces(p, skip_zero=p.diagonal_a, budget=budget):
         mono = necklace_monomial(k, diagonal_a=p.diagonal_a)
         if mono is None:
             continue
         acc[mono] = acc.get(mono, 0) + 1
-    return acc
+    return Polynomial.from_raw(acc)
 
 
-def _symbolic_matrix(n: int, kind: str, diagonal: bool) -> List[List[Dict]]:
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if diagonal and i != j:
-                row.append({})
-            else:
-                row.append({((var(kind, i, j), 1),): 1})
-        rows.append(row)
-    return rows
+Matrix = List[List[Polynomial]]
 
 
-def _entry_mul(p1: Dict, p2: Dict, cap_b: Optional[int],
-               out: Dict[Monomial, Coeff], scale: int = 1) -> None:
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            m = mono_mul(m1, m2)
-            if cap_b is not None and mono_kind_degree(m, "b") > cap_b:
-                continue
-            out[m] = out.get(m, 0) + scale * c1 * c2
+def _symbolic_matrix(n: int, kind: str, diagonal: bool) -> Matrix:
+    return [[Polynomial.zero() if diagonal and i != j
+             else Polynomial.variable(var(kind, i, j))
+             for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def _mat_mul(a, b, cap_b: Optional[int]):
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry: Dict[Monomial, Coeff] = {}
-            for k in range(n):
-                if a[i][k] and b[k][j]:
-                    _entry_mul(a[i][k], b[k][j], cap_b, entry)
-            row.append({m: c for m, c in entry.items() if c != 0})
-        out.append(row)
-    return out
-
-
-def _mat_power(mat, e: int, cap_b: Optional[int]):
-    result = None
-    base = mat
-    while e:
-        if e & 1:
-            result = base if result is None else _mat_mul(result, base, cap_b)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base, cap_b)
-    return result
+    return [[sum((a[i][k] * b[k][j] for k in range(n) if a[i][k] and b[k][j]),
+                 Polynomial.zero())
+             for j in range(n)] for i in range(n)]
 
 
 def trace_coeff_matrix(p: TraceProblem, budget: Optional[int] = None) -> Polynomial:
     """Coefficient polynomial via symbolic matrix powering.
 
-    Computes H = (A+B)^(m/2) entrywise with terms pruned once their
-    b-degree passes r, takes trace(H*H), and keeps the b-degree-r slice.
-    Independent of the necklace route.
+    Keeps H = (A+tB)^k as its t-slices H[0..r], stepping them by
+    H'[s] = H[s]*A + H[s-1]*B up to k = m/2, and returns
+    sum_s trace(H[s]*H[r-s]), the t^r part of trace(H*H).  Independent
+    of the necklace route.
     """
-    if budget is not None and p.necklace_count() > budget:
-        raise BudgetExceeded(p.necklace_count(), budget)
+    _check_budget(p.necklace_count(), budget)
     n, r = p.n, p.r
     a_mat = _symbolic_matrix(n, "a", p.diagonal_a)
     b_mat = _symbolic_matrix(n, "b", False)
-    m_sum = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = dict(a_mat[i][j])
-            for mono, c in b_mat[i][j].items():
-                entry[mono] = entry.get(mono, 0) + c
-            row.append(entry)
-        m_sum.append(row)
-    half = _mat_power(m_sum, p.m // 2, cap_b=r)
-    acc: Dict[Monomial, Coeff] = {}
-    for i in range(n):
-        for k in range(n):
-            if half[i][k] and half[k][i]:
-                _entry_mul(half[i][k], half[k][i], r, acc)
-    sliced = {m: c for m, c in acc.items() if mono_kind_degree(m, "b") == r}
-    return Polynomial.from_raw(sliced)
+    zero = [[Polynomial.zero()] * n for _ in range(n)]
+    h = ([a_mat, b_mat] + [zero] * r)[:r + 1]
+    for _ in range(p.m // 2 - 1):
+        ha = [_mat_mul(hs, a_mat) for hs in h]
+        hb = [_mat_mul(hs, b_mat) for hs in h[:-1]]
+        h = ha[:1] + [[[x + y for x, y in zip(row_a, row_b)]
+                       for row_a, row_b in zip(ha[s], hb[s - 1])]
+                      for s in range(1, r + 1)]
+    return sum((h[s][i][k] * h[r - s][k][i]
+                for s in range(r + 1) for i in range(n) for k in range(n)),
+               Polynomial.zero())
 
 
 def expand_square_formula(m: int, n: int) -> Polynomial:
@@ -322,17 +250,5 @@ def word_trace(word: Iterable[str], n: int, diagonal_a: bool = False) -> Polynom
     mats = [_symbolic_matrix(n, w, diagonal_a and w == "a") for w in letters]
     prod = mats[0]
     for mat in mats[1:]:
-        prod = _mat_mul(prod, mat, cap_b=None)
-    acc: Dict[Monomial, Coeff] = {}
-    for i in range(n):
-        for mono, c in prod[i][i].items():
-            acc[mono] = acc.get(mono, 0) + c
-    return Polynomial.from_raw(acc)
-
-
-def sum_word_traces(m: int, r: int, n: int, diagonal_a: bool = False) -> Polynomial:
-    """Trace of the sum of all words with r B's and m-r A's."""
-    total = Polynomial.zero()
-    for pat in letter_patterns(m, r):
-        total = total + word_trace(pat, n, diagonal_a=diagonal_a)
-    return total
+        prod = _mat_mul(prod, mat)
+    return sum((prod[i][i] for i in range(n)), Polynomial.zero())

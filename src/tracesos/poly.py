@@ -70,10 +70,6 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def mono_kind_degree(m: Monomial, kind: str) -> int:
-    return sum(e for v, e in m if v[0] == kind)
-
-
 def mono_str(m: Monomial) -> str:
     if not m:
         return "1"
@@ -209,12 +205,6 @@ def _coeff_is_zero(c: Coeff) -> bool:
     if isinstance(c, Affine):
         return c.is_zero()
     return c == 0
-
-
-def coeff_str(c: Coeff) -> str:
-    if isinstance(c, Affine):
-        return str(c)
-    return str(c)
 
 
 def coeff_to_jsonable(c: Coeff):
@@ -407,7 +397,7 @@ class Polynomial:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            cs = coeff_str(c)
+            cs = str(c)
             if isinstance(c, Affine) or "/" in cs or "-" in cs[1:]:
                 cs = f"({cs})"
             if m == MONO_ONE:
@@ -427,18 +417,6 @@ class Polynomial:
     @classmethod
     def from_jsonable(cls, obj) -> "Polynomial":
         return cls({parse_monomial(ms): coeff_from_jsonable(cs) for ms, cs in obj})
-
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def substitute(p: Polynomial, assignment: Mapping[Var, Scalar]):
-    return p.substitute(assignment)
 
 
 def swap_ab(p: Polynomial) -> Polynomial:

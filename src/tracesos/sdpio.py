@@ -23,12 +23,11 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .cert84 import InconsistentSystem, ParamSystem, canonical_equation, q3_grid
+from .cert84 import (SYMBOLIC, InconsistentSystem, ParamSystem,
+                     canonical_equation, q3_grid)
 from .necklace import TraceProblem, trace_coeff_necklace
 from .poly import Affine, Monomial, Polynomial, mono_from_vars, mono_str, var
 from .psdcert import PsdCertificate, RationalMatrix, verify_charpoly_signs
-
-SYMBOLIC = "symbolic"
 
 
 class RationalizationFailed(ValueError):
@@ -293,10 +292,21 @@ def import_sdpa(path: str) -> SdpProblem:
     lhs_map: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {
         k: {} for k in range(1, n_con + 1)}
     for line in body[4:]:
-        k_s, b_s, i_s, j_s, v_s = line.split()
-        k = int(k_s)
-        key = (int(b_s) - 1, int(i_s) - 1, int(j_s) - 1)
-        lhs_map[k][key] = lhs_map[k].get(key, Fraction(0)) + Fraction(v_s)
+        fields = line.split()
+        if len(fields) != 5:
+            raise ValueError(f"SDPA body line {line!r}: expected 5 fields")
+        k, b, i, j = map(int, fields[:4])
+        if not 1 <= k <= n_con:
+            raise ValueError(f"SDPA body line {line!r}: constraint index "
+                             f"outside 1..{n_con}")
+        if not 1 <= b <= n_block:
+            raise ValueError(f"SDPA body line {line!r}: block index "
+                             f"outside 1..{n_block}")
+        if not (1 <= i <= dims[b - 1] and 1 <= j <= dims[b - 1]):
+            raise ValueError(f"SDPA body line {line!r}: entry outside "
+                             f"the {dims[b - 1]}x{dims[b - 1]} block")
+        key = (b - 1, i - 1, j - 1)
+        lhs_map[k][key] = lhs_map[k].get(key, Fraction(0)) + Fraction(fields[4])
     constraints = []
     for k in range(1, n_con + 1):
         constraints.append(Constraint(
@@ -359,7 +369,7 @@ def rationalize_and_verify(prob: SdpProblem,
                 try:
                     f = Fraction(x) if not isinstance(x, float) \
                         else Fraction(x).limit_denominator(denominator_bound)
-                except (ValueError, OverflowError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise RationalizationFailed(
                         f"block {label} entry ({i},{j}): {exc}") from exc
                 row.append(f)

@@ -139,13 +139,6 @@ def test_audit_entry_sum_identity_n2():
     assert cert.entry_sum() == 96
 
 
-def test_audit_worker_count_invariance():
-    ref = accounting_audit(3)
-    for w in (2, 4):
-        report = accounting_audit(3, workers=w)
-        assert report.ok and report.counts == ref.counts
-
-
 def test_audit_budget():
     from tracesos.necklace import BudgetExceeded
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tracesos.cli import main
 from tracesos.poly import Polynomial
 
@@ -24,15 +26,38 @@ def test_coeff_stdout_and_file(tmp_path, capsys):
     assert len(p.terms) > 1
 
 
-def test_coeff_worker_output_is_byte_identical(tmp_path, capsys):
-    blobs = set()
-    for w in ("1", "2", "4"):
-        path = tmp_path / f"w{w}.json"
-        code, _, _ = run(capsys, "coeff", "--m", "4", "--r", "2", "--n", "3",
-                         "--workers", w, "--out", str(path))
-        assert code == 0
-        blobs.add(path.read_bytes())
-    assert len(blobs) == 1
+def test_coeff_oracles_write_identical_json(tmp_path, capsys):
+    for args in (("--m", "8", "--r", "4", "--n", "4", "--diagonal-a"),
+                 ("--m", "6", "--r", "2", "--n", "2")):
+        blobs = {}
+        for oracle in ("necklace", "matrix"):
+            path = tmp_path / f"{oracle}.json"
+            code, _, _ = run(capsys, "coeff", *args, "--oracle", oracle,
+                             "--out", str(path))
+            assert code == 0
+            blobs[oracle] = path.read_bytes().replace(
+                f'"oracle": "{oracle}"'.encode(), b'"oracle": ""')
+        assert blobs["necklace"] == blobs["matrix"], args
+
+
+def test_workers_flag_is_gone(capsys):
+    for argv in (["coeff", "--m", "4", "--r", "2", "--n", "1", "--workers", "2"],
+                 ["verify-all", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+def test_unreadable_input_files_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in (("psd", "--in", missing),
+                 ("cert84", "--n", "2", "--params", missing),
+                 ("sdp-verify", "--prob", missing, "--solution", missing)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.json" in err
 
 
 def test_coeff_budget(capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,20 @@ def test_roundtrip_421(tmp_path):
     assert (tmp_path / "p2.dat-s").read_text() == path.read_text()
 
 
+def test_import_rejects_malformed_body_lines(tmp_path):
+    p = TraceProblem(4, 2, 1)
+    path = tmp_path / "p.dat-s"
+    export_sdpa(build_sdp(p, certificate_basis_42(1)), str(path))
+    lines = path.read_text().splitlines()
+    k, b, i, j, v = lines[-1].split()
+    for bad in (f"99 {b} {i} {j} {v}", f"0 {b} {i} {j} {v}",
+                f"{k} 9 {i} {j} {v}", f"{k} {b} 9 {j} {v}", f"{k} {b} {i} {j}"):
+        tampered = tmp_path / "bad.dat-s"
+        tampered.write_text("\n".join(lines[:-1] + [bad]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            import_sdpa(str(tampered))
+
+
 def test_entry_sum_constraint_optional():
     p = TraceProblem(4, 2, 2)
     base = build_sdp(p, certificate_basis_42(2))
@@ -170,6 +185,8 @@ def test_rationalization_failures():
         rationalize_and_verify(prob, {"G": [[float("nan")]]}, 10)
     with pytest.raises(RationalizationFailed):
         rationalize_and_verify(prob, {"G": [[1, 2]]}, 10)
+    with pytest.raises(RationalizationFailed, match=r"block G entry \(0,0\)"):
+        rationalize_and_verify(prob, {"G": [[None]]}, 10)
 
 
 def test_rationalization_rounds_to_nearby_rationals():
