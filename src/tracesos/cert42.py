@@ -215,7 +215,7 @@ class AuditReport:
     total_expected: int
     total_assigned: int
     counts: Dict[Cell, int] = field(repr=False, default_factory=dict)
-    mismatches: List[Tuple[Cell, int, int]] = field(default_factory=list)
+    mismatches: List[Tuple[Cell, Fraction, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -239,31 +239,27 @@ class AuditReport:
                 f"necklaces assigned, {len(self.counts)} cells, {state}")
 
 
-def _expected_cells(n: int) -> Dict[Cell, int]:
-    expected: Dict[Cell, int] = {}
-    labels = index_sets(n)
-    for x in labels:
-        for y in labels:
-            expected[("Q1", x, y)] = 6 * len(set(x) & set(y))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for u in range(1, n + 1):
-                for v in range(1, n + 1):
-                    expected[("Q2", (i, j), "UL", u, v)] = 4
-                    expected[("Q2", (i, j), "LR", u, v)] = 4
-                    expected[("Q2", (i, j), "UR", u, v)] = 2
-                    expected[("Q2", (i, j), "LL", u, v)] = 2
-    return expected
-
-
 def accounting_audit(n: int, budget: Optional[int] = None) -> AuditReport:
-    """Count necklaces per cell and compare with every matrix entry."""
+    """Count necklaces per cell and compare with every entry of the built
+    certificate's matrices."""
     problem = TraceProblem(4, 2, n)
     counts: Dict[Cell, int] = {}
     for k in enumerate_necklaces(problem, budget=budget):
         cell = classify_necklace(k).cell
         counts[cell] = counts.get(cell, 0) + 1
-    expected = _expected_cells(n)
+    cert = build_certificate42(n)
+    labels = cert.q1.row_labels
+    expected: Dict[Cell, Fraction] = {
+        ("Q1", x, y): cert.q1[a][b]
+        for a, x in enumerate(labels) for b, y in enumerate(labels)}
+    # each Q2 copy is the 2n-square [[UL, UR], [LL, LR]] of n-square blocks
+    corners = {"UL": (0, 0), "UR": (0, n), "LL": (n, 0), "LR": (n, n)}
+    for pair in cert.z2_family:
+        for block, (du, dv) in corners.items():
+            for u in range(1, n + 1):
+                for v in range(1, n + 1):
+                    expected[("Q2", pair, block, u, v)] = \
+                        cert.q2[du + u - 1][dv + v - 1]
     total = sum(counts.values())
     mismatches = []
     for cell in sorted(set(expected) | set(counts), key=repr):

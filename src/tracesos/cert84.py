@@ -12,6 +12,16 @@ x1..x22; the construction reproduces the published identity whenever the
 parameters satisfy an 11-equation linear system, which
 :func:`derive_param_system` re-derives from scratch by coefficient
 matching against the necklace oracle.
+
+Q3 and its vector are data, not index loops.  Each position of the
+pair-(i, j) vector is the monomial a[p,p]*a[q,q]*b[i,k]*b[j,k] and has
+the label (block, side, k): block 1..7, side "i", "j" or None, and k the
+index the two b-factors share (:func:`z3_labels`).  :data:`Z3_A_PART`
+gives each block's a-part, and :data:`Q3_TABLE` gives each entry of Q3
+from the blocks of its two labels and whether they agree in side or in
+k.  The vector, the grid, the block sizes and the restriction to
+indices <= n_sub are all read off the labels, so Q3(n) restricted to
+[n_sub] is Q3(n_sub) by construction.
 """
 
 from __future__ import annotations
@@ -70,16 +80,49 @@ def _resolve_params(params) -> Optional[Dict[int, Fraction]]:
     return vals
 
 
-def z3_block_sizes(n: int) -> Tuple[int, ...]:
-    return (2, 2, n - 2, 2 * (n - 2), n - 1, n - 2, n - 1)
+Z3Label = Tuple[int, Optional[str], int]
+
+# The a-part a[p,p]*a[q,q] of each block's monomials: p and q are read
+# off as i, j, the label's side "s", or its k.
+Z3_A_PART = {1: "ss", 2: "ij", 3: "kk", 4: "sk", 5: "ss", 6: "ij", 7: "ss"}
+
+# One row per block pair (u, v), u <= v: a constant, a parameter "xk", or
+# ("side" | "k", value if the two labels agree there, value otherwise).
+Q3_TABLE = {
+    (1, 1): ("side", 120, "x9"),
+    (1, 2): ("side", 40, "x1"),
+    (1, 3): "x7",
+    (1, 4): ("side", "x17", "x19"),
+    (1, 5): ("side", 20, "x4"),
+    (1, 6): "x18",
+    (1, 7): ("side", 20, "x4"),
+    (2, 2): ("side", "x3", "x10"),
+    (2, 3): "x11",
+    (2, 4): ("side", "x20", "x12"),
+    (2, 5): ("side", "x2", 12),
+    (2, 6): "x8",
+    (2, 7): ("side", "x2", 12),
+    (3, 3): ("k", 40, "x5"),
+    (3, 4): ("k", 16, "x21"),
+    (3, 5): 4,
+    (3, 6): ("k", "x15", "x13"),
+    (3, 7): 4,
+    (4, 4): ("k", ("side", 16, "x14"), ("side", "x16", 2)),
+    (4, 5): ("side", 8, "x13"),
+    (4, 6): ("k", "x16", "x22"),
+    (4, 7): ("side", 8, "x13"),
+    (5, 5): 8,
+    (5, 6): 4,
+    (5, 7): 0,
+    (6, 6): ("k", 8, "x6"),
+    (6, 7): 4,
+    (7, 7): 8,
+}
 
 
-def _mono(*vs) -> Polynomial:
-    return Polynomial.monomial(mono_from_vars(vs))
-
-
-def z3_blocks(n: int, i: int, j: int) -> List[List[Polynomial]]:
-    """The seven blocks of the pair-(i, j) monomial vector, length 6n-6.
+def z3_labels(n: int, i: int, j: int) -> List[Z3Label]:
+    """The (block, side, k) label of each position of the pair-(i, j)
+    vector, whose entry is a[p,p]*a[q,q]*b[i,k]*b[j,k].
 
     Blocks 3, 4 and 6 run over k outside {i, j} in increasing order;
     block 5 (the a[i,i]^2 family over k != i) leads with k = j, and
@@ -90,110 +133,66 @@ def z3_blocks(n: int, i: int, j: int) -> List[List[Polynomial]]:
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j})")
     others = [k for k in range(1, n + 1) if k != i and k != j]
-    aii, ajj = var("a", i, i), var("a", j, j)
+    return ([(1, "i", i), (1, "j", j), (2, "i", i), (2, "j", j)]
+            + [(3, None, k) for k in others]
+            + [(4, s, k) for k in others for s in "ij"]
+            + [(5, "i", k) for k in [j] + others]
+            + [(6, None, k) for k in others]
+            + [(7, "j", k) for k in [i] + others])
 
-    def b(u, v):
-        return var("b", u, v)
 
-    blocks = [
-        [_mono(aii, aii, b(i, i), b(i, j)),
-         _mono(ajj, ajj, b(i, j), b(j, j))],
-        [_mono(aii, ajj, b(i, i), b(i, j)),
-         _mono(aii, ajj, b(j, j), b(i, j))],
-        [_mono(var("a", k, k), var("a", k, k), b(i, k), b(j, k))
-         for k in others],
-        [m for k in others
-         for m in (_mono(aii, var("a", k, k), b(i, k), b(j, k)),
-                   _mono(ajj, var("a", k, k), b(i, k), b(j, k)))],
-        [_mono(aii, aii, b(i, j), b(j, j))]
-        + [_mono(aii, aii, b(i, k), b(j, k)) for k in others],
-        [_mono(aii, ajj, b(i, k), b(j, k)) for k in others],
-        [_mono(ajj, ajj, b(i, i), b(i, j))]
-        + [_mono(ajj, ajj, b(i, k), b(j, k)) for k in others],
-    ]
-    assert [len(bl) for bl in blocks] == list(z3_block_sizes(n))
-    return blocks
+def z3_block_sizes(n: int) -> Tuple[int, ...]:
+    blocks = [block for block, _, _ in z3_labels(n, 1, 2)]
+    return tuple(blocks.count(block) for block in range(1, 8))
+
+
+def z3_restriction_indices(n: int, n_sub: int) -> List[int]:
+    """Positions of the pair-(1, 2) vector at size n whose indices stay
+    within [n_sub]; selecting them from the size-n Q3 gives the size-n_sub
+    Q3."""
+    return [pos for pos, (_, _, k) in enumerate(z3_labels(n, 1, 2))
+            if k <= n_sub]
+
+
+def _mono(*vs) -> Polynomial:
+    return Polynomial.monomial(mono_from_vars(vs))
 
 
 def z3_vector(n: int, i: int, j: int) -> List[Polynomial]:
-    return [entry for block in z3_blocks(n, i, j) for entry in block]
+    out = []
+    for block, side, k in z3_labels(n, i, j):
+        at = {"i": i, "j": j, "k": k, "s": i if side == "i" else j}
+        p, q = (at[c] for c in Z3_A_PART[block])
+        out.append(_mono(var("a", p, p), var("a", q, q),
+                         var("b", i, k), var("b", j, k)))
+    return out
+
+
+def _q3_rule(u: Z3Label, v: Z3Label):
+    rule = Q3_TABLE[min(u[0], v[0]), max(u[0], v[0])]
+    while isinstance(rule, tuple):
+        by, same, other = rule
+        field = 1 if by == "side" else 2
+        rule = same if u[field] == v[field] else other
+    return rule
 
 
 def q3_grid(n: int, params=None) -> Tuple[Tuple[Coeff, ...], ...]:
-    """The (6n-6)-square coefficient grid, numeric or affine in x1..x22."""
+    """The (6n-6)-square coefficient grid, numeric or affine in x1..x22,
+    read off :data:`Q3_TABLE` for each pair of labels."""
     if n < 2:
         return ()
     vals = _resolve_params(params)
 
-    def x(k: int) -> Coeff:
+    def value(rule) -> Coeff:
+        if isinstance(rule, int):
+            return Fraction(rule)
+        k = int(rule[1:])
         return vals[k] if vals is not None else param(k)
 
-    sizes = z3_block_sizes(n)
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    d = offs[-1]
-    g: List[List[Coeff]] = [[Fraction(0)] * d for _ in range(d)]
-    nm2 = n - 2
-
-    def put(bu, bv, r, c, value):
-        g[offs[bu - 1] + r][offs[bv - 1] + c] = value
-
-    for r in range(2):
-        for c in range(2):
-            put(1, 1, r, c, Fraction(120) if r == c else x(9))
-            put(1, 2, r, c, Fraction(40) if r == c else x(1))
-            put(2, 2, r, c, x(3) if r == c else x(10))
-    for r in range(2):
-        for k in range(nm2):
-            put(1, 3, r, k, x(7))
-            put(2, 3, r, k, x(11))
-            put(1, 6, r, k, x(18))
-            put(2, 6, r, k, x(8))
-            for t in range(2):
-                put(1, 4, r, 2 * k + t, x(17) if r == t else x(19))
-                put(2, 4, r, 2 * k + t, x(20) if r == t else x(12))
-        for c in range(n - 1):
-            put(1, 5, r, c, Fraction(20) if r == 0 else x(4))
-            put(1, 7, r, c, x(4) if r == 0 else Fraction(20))
-            put(2, 5, r, c, x(2) if r == 0 else Fraction(12))
-            put(2, 7, r, c, Fraction(12) if r == 0 else x(2))
-    for k in range(nm2):
-        for kp in range(nm2):
-            put(3, 3, k, kp, Fraction(40) if k == kp else x(5))
-            put(3, 6, k, kp, x(15) if k == kp else x(13))
-            put(6, 6, k, kp, Fraction(8) if k == kp else x(6))
-            for t in range(2):
-                put(3, 4, k, 2 * kp + t, Fraction(16) if k == kp else x(21))
-                put(4, 6, 2 * kp + t, k, x(16) if k == kp else x(22))
-        for c in range(n - 1):
-            put(3, 5, k, c, Fraction(4))
-            put(3, 7, k, c, Fraction(4))
-            put(6, 7, k, c, Fraction(4))
-    for k in range(nm2):
-        for s in range(2):
-            for kp in range(nm2):
-                for t in range(2):
-                    if k == kp:
-                        val = Fraction(16) if s == t else x(14)
-                    else:
-                        val = x(16) if s == t else Fraction(2)
-                    put(4, 4, 2 * k + s, 2 * kp + t, val)
-            for c in range(n - 1):
-                put(4, 5, 2 * k + s, c, Fraction(8) if s == 0 else x(13))
-                put(4, 7, 2 * k + s, c, x(13) if s == 0 else Fraction(8))
-    for r in range(n - 1):
-        for c in range(n - 1):
-            put(5, 5, r, c, Fraction(8))
-            put(5, 7, r, c, Fraction(0))
-            put(7, 7, r, c, Fraction(8))
-        for c in range(nm2):
-            put(5, 6, r, c, Fraction(4))
-    # mirror the strict upper triangle
-    for r in range(d):
-        for c in range(r):
-            g[r][c] = g[c][r]
-    return tuple(tuple(row) for row in g)
+    labels = z3_labels(n, 1, 2)
+    return tuple(tuple(value(_q3_rule(u, v)) for v in labels)
+                 for u in labels)
 
 
 def build_q2_84(n: int) -> RationalMatrix:

@@ -144,12 +144,21 @@ def check_param_system() -> CheckResult:
     """The re-derived constraints match the published 11-equation system."""
     derived = cert84.derive_param_system(5)
     published = cert84.ParamSystem.published()
-    ok = (derived.equivalent(published) and derived.rank == 11
-          and all(derived.contains(eq) for eq in published.equations)
-          and derived.satisfied_by(cert84.published_params()))
-    stable = cert84.derive_param_system(4).equivalent(derived)
+    missing = [cert84.equation_str(eq) for eq in published.equations
+               if not derived.contains(eq)]
+    failures = [why for holds, why in (
+        (derived.equivalent(published),
+         "not equivalent to the published system"),
+        (derived.rank == 11, f"rank {derived.rank}, expected 11"),
+        (not missing, f"published equations missing: {'; '.join(missing)}"),
+        (derived.satisfied_by(cert84.published_params()),
+         "published values violate it"),
+        (cert84.derive_param_system(4).equivalent(derived),
+         "n=4 derivation disagrees"),
+    ) if not holds]
     return CheckResult(
-        "param-system", ok and stable,
+        "param-system", not failures,
+        f"derived system (n=5): {failures[0]}" if failures else
         f"rank {derived.rank}, equivalent to published system, published "
         f"values satisfy it, n=4 derivation agrees")
 
@@ -183,7 +192,7 @@ def check_psd_suite(max_n_gram: int = 8, max_n_schur: int = 6) -> CheckResult:
             and cp_cert.witness["charpoly"] == want["coeffs_desc"]):
         problems.append("q3 n=5 charpoly")
     for n_sub in (2, 3, 4):
-        keep = z3_restriction_indices(5, n_sub)
+        keep = cert84.z3_restriction_indices(5, n_sub)
         expected = cert84.build_certificate84(n_sub).q3_matrix()
         try:
             sub_cert = psdcert.verify_submatrix_psd(q3, keep, expected=expected)
@@ -207,26 +216,6 @@ def q3_psd_report(n: int) -> str:
     k = cert.witness["violating_k"]
     return (f"Q3(n={n}) with published values: NOT PSD "
             f"(e_{k} = {cert.witness['violating_e']} < 0); unproven range")
-
-
-def z3_restriction_indices(n: int, n_sub: int, i: int = 1, j: int = 2
-                           ) -> List[int]:
-    """Positions of the pair-(i, j) monomial vector at size n whose index
-    content stays within [n_sub]; selecting them from the size-n matrix
-    must reproduce the size-n_sub matrix."""
-    sizes = cert84.z3_block_sizes(n)
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    others = [k for k in range(1, n + 1) if k != i and k != j]
-    m = sum(1 for k in others if k <= n_sub)
-    keep = [offs[0], offs[0] + 1, offs[1], offs[1] + 1]
-    keep += [offs[2] + t for t in range(m)]
-    keep += [offs[3] + 2 * t + s for t in range(m) for s in range(2)]
-    keep += [offs[4]] + [offs[4] + 1 + t for t in range(m)]
-    keep += [offs[5] + t for t in range(m)]
-    keep += [offs[6]] + [offs[6] + 1 + t for t in range(m)]
-    return sorted(keep)
 
 
 def check_square_formula() -> CheckResult:
@@ -332,23 +321,20 @@ def check_properties(cases: int = 1000) -> CheckResult:
         if not problems else f"failures: {sorted(set(problems))}")
 
 
-def run_all(max_n_42: int = 5, max_n_84: int = 5,
-            big: bool = False) -> List[CheckResult]:
+def run_all(big: bool = False) -> List[CheckResult]:
     results = [
-        check_dual_oracle(max_n_42=max_n_42, max_n_84=min(max_n_84, 5)),
+        check_dual_oracle(),
         check_counterexample(),
-        check_identity_42(max_n=max(max_n_42, 6)),
-        check_audit_42(max_n=4),
+        check_identity_42(),
+        check_audit_42(),
         check_entry_sums(),
-        check_identity_84(max_n=max(max_n_84, 7), big=big),
+        check_identity_84(big=big),
         check_param_system(),
         check_psd_suite(),
         check_square_formula(),
         check_sdp_roundtrip(),
         check_properties(),
     ]
-    top = 9 if big else max(max_n_84, 7)
-    notes = [q3_psd_report(n) for n in range(6, top + 1)]
-    if notes:
-        results[5].notes.extend(notes)
+    top = 9 if big else 7
+    results[5].notes.extend(q3_psd_report(n) for n in range(6, top + 1))
     return results

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import cert42, cert84, checks, golden, necklace, psdcert, sdpio
 from .necklace import BudgetExceeded, TraceProblem
-from .poly import Affine, mono_str
+from .poly import mono_str
 
 DEFAULT_BUDGET = necklace.DEFAULT_BUDGET
 
@@ -82,20 +82,14 @@ def cmd_audit42(args) -> int:
             "n": report.n, "ok": report.ok,
             "total_expected": report.total_expected,
             "total_assigned": report.total_assigned,
-            "mismatches": [[repr(c), e, a] for c, e, a in report.mismatches],
+            "mismatches": [[repr(c), str(e), a]
+                           for c, e, a in report.mismatches],
         }, indent=1, sort_keys=True))
     else:
         print(report.summary())
         for cell, expected, actual in report.mismatches[:20]:
             print(f"  mismatch {cell}: entry {expected}, counted {actual}")
     return 0 if report.ok else 1
-
-
-def _q3_entry_str(x) -> str:
-    if isinstance(x, Affine):
-        (k, _), = x.linear.items()
-        return f"x{k}"
-    return str(x)
 
 
 def cmd_cert84(args) -> int:
@@ -112,11 +106,14 @@ def cmd_cert84(args) -> int:
     else:
         with open(args.params) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.params}: expected a JSON object of "
+                             f"x values")
         params = {int(str(k).lstrip("x")): Fraction(v) for k, v in raw.items()}
     cert = cert84.build_certificate84(args.n, params=params)
     payload = {
         "n": args.n,
-        "rows": [[_q3_entry_str(x) for x in row] for row in cert.q3],
+        "rows": [[str(x) for x in row] for row in cert.q3],
         "z3_blocks_sizes": list(cert84.z3_block_sizes(args.n)) if args.n >= 2 else [],
         "entry_sum": str(cert.entry_sum()),
     }
@@ -214,7 +211,7 @@ def cmd_sdp_verify(args) -> int:
 
 def _golden_matrix_check(built_rows, golden_name, key="rows"):
     want = golden.load(golden_name)[key]
-    got = [[int(x) for x in row] for row in built_rows]
+    got = [[Fraction(x) for x in row] for row in built_rows]
     if got != want:
         diff = next(((i, j) for i in range(len(want))
                      for j in range(len(want[0])) if got[i][j] != want[i][j]))
@@ -241,7 +238,7 @@ def _reproduce_u_n3():
 
 def _reproduce_q1_n1():
     q1 = cert42.build_certificate42(1).q1
-    if [[int(x) for x in row] for row in q1.rows] != [[6]]:
+    if q1.rows != ((6,),):
         raise GoldenMismatch(f"Q1(n=1) is {q1.rows}, expected [[6]]")
     return "Q1(n=1) = [6]"
 
@@ -274,7 +271,7 @@ def _reproduce_q3_n5():
 def _reproduce_q3_n5_symbolic():
     grid = cert84.q3_grid(5, params=cert84.SYMBOLIC)
     want = golden.load("q3_symbolic_n5_84")["entries"]
-    got = [[_q3_entry_str(x) for x in row] for row in grid]
+    got = [[str(x) for x in row] for row in grid]
     want_s = [[str(x) for x in row] for row in want]
     if got != want_s:
         diff = next(((i, j) for i in range(24) for j in range(24)
@@ -381,8 +378,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    results = checks.run_all(max_n_42=args.max_n_42, max_n_84=args.max_n_84,
-                             big=args.big)
+    results = checks.run_all(big=args.big)
     if args.json:
         print(json.dumps(
             [{"name": r.name, "ok": r.ok, "detail": r.detail, "notes": r.notes}
@@ -489,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
-    p.add_argument("--max-n-42", type=int, default=5)
-    p.add_argument("--max-n-84", type=int, default=5)
     p.add_argument("--big", action="store_true",
                    help="include n = 8, 9 in the degree-8 identity")
     p.add_argument("--json", action="store_true")

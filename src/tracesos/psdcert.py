@@ -159,6 +159,8 @@ class RationalMatrix:
         def delabel(ls):
             return [tuple(l) if isinstance(l, list) else l for l in ls] if ls else None
 
+        if not (isinstance(obj, dict) and isinstance(obj.get("rows"), list)):
+            raise ValueError("matrix JSON needs a 'rows' list")
         return cls([[Fraction(x) for x in row] for row in obj["rows"]],
                    delabel(obj.get("row_labels")),
                    delabel(obj.get("col_labels")))

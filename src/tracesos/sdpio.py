@@ -262,6 +262,13 @@ def export_sdpa(prob: SdpProblem, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _sdpa_number(token: str, line: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"SDPA line {line!r}: zero denominator") from None
+
+
 def import_sdpa(path: str) -> SdpProblem:
     """Read back a problem written by :func:`export_sdpa`."""
     meta: Dict[str, str] = {}
@@ -273,6 +280,8 @@ def import_sdpa(path: str) -> SdpProblem:
             line = line.rstrip("\n")
             if line.startswith(("*", '"')):
                 parts = line[1:].split()
+                if parts[:1] in (["block"], ["con"]) and len(parts) < 2:
+                    raise ValueError(f"SDPA comment {line!r}: no label")
                 if parts[:1] == ["meta"]:
                     meta = dict(kv.split("=", 1) for kv in parts[1:])
                 elif parts[:1] == ["block"]:
@@ -281,12 +290,15 @@ def import_sdpa(path: str) -> SdpProblem:
                     con_names[int(parts[1])] = " ".join(parts[2:])
             elif line.strip():
                 body.append(line.strip())
+    if len(body) < 4:
+        raise ValueError(f"SDPA file has {len(body)} of the 4 header lines "
+                         f"(constraints, blocks, block sizes, right-hand side)")
     n_con = int(body[0])
     n_block = int(body[1])
     dims = [int(t) for t in body[2].split()]
     if len(dims) != n_block:
         raise ValueError("block count mismatch")
-    rhs_vals = [Fraction(t) for t in body[3].split()]
+    rhs_vals = [_sdpa_number(t, body[3]) for t in body[3].split()]
     if len(rhs_vals) != n_con:
         raise ValueError("rhs count mismatch")
     lhs_map: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {
@@ -306,7 +318,8 @@ def import_sdpa(path: str) -> SdpProblem:
             raise ValueError(f"SDPA body line {line!r}: entry outside "
                              f"the {dims[b - 1]}x{dims[b - 1]} block")
         key = (b - 1, i - 1, j - 1)
-        lhs_map[k][key] = lhs_map[k].get(key, Fraction(0)) + Fraction(fields[4])
+        lhs_map[k][key] = lhs_map[k].get(key, Fraction(0)) + \
+            _sdpa_number(fields[4], line)
     constraints = []
     for k in range(1, n_con + 1):
         constraints.append(Constraint(
@@ -351,6 +364,8 @@ def rationalize_and_verify(prob: SdpProblem,
     accepted only if every constraint holds exactly and every block has
     an exact PSD certificate.
     """
+    if not isinstance(approx, Mapping):
+        raise RationalizationFailed("solution must map block labels to rows")
     labels = [label for label, _ in prob.blocks]
     missing = [l for l in labels if l not in approx]
     if missing:
@@ -358,6 +373,9 @@ def rationalize_and_verify(prob: SdpProblem,
     blocks: List[RationalMatrix] = []
     for label, dim in prob.blocks:
         raw = approx[label]
+        if not (isinstance(raw, (list, tuple))
+                and all(isinstance(row, (list, tuple)) for row in raw)):
+            raise RationalizationFailed(f"block {label} is not a list of rows")
         if len(raw) != dim or any(len(row) != dim for row in raw):
             raise RationalizationFailed(
                 f"block {label} has wrong shape, expected {dim}x{dim}")
@@ -369,7 +387,8 @@ def rationalize_and_verify(prob: SdpProblem,
                 try:
                     f = Fraction(x) if not isinstance(x, float) \
                         else Fraction(x).limit_denominator(denominator_bound)
-                except (TypeError, ValueError, OverflowError) as exc:
+                except (TypeError, ValueError, OverflowError,
+                        ZeroDivisionError) as exc:
                     raise RationalizationFailed(
                         f"block {label} entry ({i},{j}): {exc}") from exc
                 row.append(f)

@@ -43,9 +43,9 @@ def test_n1_certificate():
 
 def test_n3_matches_published_tables():
     cert = build_certificate42(3)
-    assert [[int(x) for x in row] for row in cert.q1.rows] == \
+    assert [list(row) for row in cert.q1.rows] == \
         golden.load("q1_n3_42")["rows"]
-    assert [[int(x) for x in row] for row in cert.q2.rows] == \
+    assert [list(row) for row in cert.q2.rows] == \
         golden.load("q2_n3_42")["rows"]
     assert [list(l) for l in cert.q1.row_labels] == \
         golden.load("q1_n3_42")["labels"]
@@ -153,6 +153,24 @@ def test_audit_failure_raises():
         report.raise_if_failed()
 
 
+def test_audit_reads_the_built_matrices(monkeypatch):
+    from tracesos import cert42
+    from tracesos.psdcert import RationalMatrix
+
+    real = cert42.build_q2
+
+    def bad_q2(n):
+        rows = [list(row) for row in real(n).rows]
+        rows[0][1] = rows[1][0] = Fraction(5)
+        return RationalMatrix(rows)
+
+    monkeypatch.setattr(cert42, "build_q2", bad_q2)
+    report = accounting_audit(2)
+    assert not report.ok
+    assert report.mismatches == [
+        (("Q2", (1, 2), "UL", 1, 2), 5, 4), (("Q2", (1, 2), "UL", 2, 1), 5, 4)]
+
+
 def test_entry_sums_up_to_8():
     for n in range(1, 9):
         assert build_certificate42(n).entry_sum() == 6 * n**4
@@ -166,7 +184,7 @@ def test_gram_factor_family():
         got = verify_gram_factor(cert.q1, u, scale)
         assert got.psd
     u3, _ = build_q1_gram_factor(3)
-    assert [[int(x) for x in row] for row in u3.rows] == \
+    assert [list(row) for row in u3.rows] == \
         golden.load("u_n3_42")["rows"]
 
 

@@ -17,6 +17,7 @@ from tracesos.cert84 import (
     published_params,
     q3_grid,
     z3_block_sizes,
+    z3_restriction_indices,
     z3_vector,
 )
 from tracesos.necklace import TraceProblem, trace_coeff_matrix, \
@@ -57,7 +58,7 @@ def test_z2_and_q2_match_published_n5():
     cert = build_certificate84(5)
     assert [mono_str(next(iter(p.terms))) for p in cert.z2] == \
         golden.load("z2_n5_84")["entries"]
-    assert [[int(x) for x in row] for row in cert.q2.rows] == \
+    assert [list(row) for row in cert.q2.rows] == \
         golden.load("q2_n5_84")["rows"]
     assert cert.z2[0].text() == "a[1,1]^2*b[1,2]^2"
     assert len(cert.z2) == 5 * 4 + 10
@@ -66,9 +67,9 @@ def test_z2_and_q2_match_published_n5():
 def test_q3_matches_published_n5():
     cert = build_certificate84(5)
     rows = golden.load("q3_n5_84")["rows"]
-    assert [[int(x) for x in row] for row in cert.q3] == rows
+    assert [list(row) for row in cert.q3] == rows
     assert cert.q3[0][1] == 24  # x9
-    assert [int(x) for x in cert.q3[0]] == \
+    assert list(cert.q3[0]) == \
         [120, 24, 40, 30, 12, 12, 12, 20, 8, 20, 8, 20, 8,
          20, 20, 20, 20, 10, 10, 10, 4, 4, 4, 4]
 
@@ -84,7 +85,7 @@ def test_q3_symbolic_matches_published_pattern():
                 assert c == 1 and x.const == 0
                 assert f"x{k}" == want[i][j], (i, j)
             else:
-                assert int(x) == want[i][j], (i, j)
+                assert x == want[i][j], (i, j)
 
 
 def test_q3_is_structurally_symmetric():
@@ -94,6 +95,16 @@ def test_q3_is_structurally_symmetric():
         for i in range(d):
             for j in range(d):
                 assert grid[i][j] == grid[j][i]
+
+
+def test_restricted_grid_is_the_smaller_grid():
+    for params in (None, SYMBOLIC):
+        grids = {n: q3_grid(n, params) for n in range(2, 10)}
+        for n in range(3, 10):
+            for n_sub in range(2, n):
+                keep = z3_restriction_indices(n, n_sub)
+                assert tuple(tuple(grids[n][u][v] for v in keep)
+                             for u in keep) == grids[n_sub], (n, n_sub)
 
 
 def test_q1_is_70_identity():
@@ -166,6 +177,19 @@ def test_derived_system_matches_published():
         assert derived.contains(eq), equation_str(eq)
     assert derived.contains(((( 1, 1), (2, 1)), 32))
     assert derived.contains((((13, 1), (21, 1), (22, 1)), 8))
+
+
+def test_param_check_names_first_failed_condition(monkeypatch):
+    from tracesos import checks
+
+    assert checks.check_param_system().detail.startswith("rank 11, equivalent")
+    published = ParamSystem.published()
+    weaker = ParamSystem.from_equations(published.equations[1:])
+    monkeypatch.setattr(ParamSystem, "published", classmethod(lambda cls: weaker))
+    result = checks.check_param_system()
+    assert not result.ok
+    assert result.detail == \
+        "derived system (n=5): not equivalent to the published system"
 
 
 def test_derivation_stable_between_n4_and_n5():

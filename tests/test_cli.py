@@ -42,22 +42,57 @@ def test_coeff_oracles_write_identical_json(tmp_path, capsys):
 
 def test_workers_flag_is_gone(capsys):
     for argv in (["coeff", "--m", "4", "--r", "2", "--n", "1", "--workers", "2"],
-                 ["verify-all", "--workers", "2"]):
+                 ["verify-all", "--workers", "2"],
+                 ["verify-all", "--max-n-42", "6"],
+                 ["verify-all", "--max-n-84", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert argv[-2] in capsys.readouterr().err
 
 
 def test_unreadable_input_files_exit_2(tmp_path, capsys):
-    missing = str(tmp_path / "missing.json")
-    for argv in (("psd", "--in", missing),
-                 ("cert84", "--n", "2", "--params", missing),
-                 ("sdp-verify", "--prob", missing, "--solution", missing)):
+    from tracesos.necklace import TraceProblem
+    from tracesos.sdpio import auto_basis, build_sdp, export_sdpa
+
+    prob = tmp_path / "prob.dat-s"
+    p = TraceProblem(4, 0, 1)
+    export_sdpa(build_sdp(p, auto_basis(p)), str(prob))
+    files = {"empty.dat-s": "",
+             "truncated.dat-s": "".join(prob.read_text().splitlines(True)[:4]),
+             "nolabel.dat-s": "* block\n1\n1\n1\n1\n",
+             "norows.json": '{"cols": [[1]]}',
+             "list.json": "[1, 2]",
+             "badblock.json": '{"G": 5}',
+             "sol.json": '{"G": [[1]]}'}
+    path = {"missing.json": str(tmp_path / "missing.json")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        path[name] = str(tmp_path / name)
+    for argv, says in (
+            (("psd", "--in", path["missing.json"]), "missing.json"),
+            (("cert84", "--n", "2", "--params", path["missing.json"]),
+             "missing.json"),
+            (("sdp-verify", "--prob", path["missing.json"],
+              "--solution", path["missing.json"]), "missing.json"),
+            (("sdp-verify", "--prob", path["empty.dat-s"],
+              "--solution", path["sol.json"]), "0 of the 4 header lines"),
+            (("sdp-verify", "--prob", path["truncated.dat-s"],
+              "--solution", path["sol.json"]), "of the 4 header lines"),
+            (("sdp-verify", "--prob", path["nolabel.dat-s"],
+              "--solution", path["sol.json"]), "no label"),
+            (("psd", "--in", path["norows.json"]), "'rows'"),
+            (("cert84", "--n", "2", "--params", path["list.json"]),
+             "JSON object"),
+            (("sdp-verify", "--prob", str(prob),
+              "--solution", path["badblock.json"]), "block G")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "missing.json" in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert says in err, (argv, err)
+    code, out, _ = run(capsys, "sdp-verify", "--prob", str(prob),
+                       "--solution", path["sol.json"])
+    assert code == 0 and "accepted" in out
 
 
 def test_coeff_budget(capsys):
@@ -169,6 +204,20 @@ def test_reproduce_unknown_object(capsys):
     code, _, err = run(capsys, "reproduce", "Q9-n9")
     assert code == 2
     assert "unknown object" in err
+
+
+def test_golden_check_compares_exact_values():
+    from fractions import Fraction
+
+    from tracesos.cert84 import build_certificate84
+    from tracesos.cli import GoldenMismatch, _golden_matrix_check
+
+    rows = [list(row) for row in build_certificate84(5).q3]
+    assert rows[0][1] == 24
+    _golden_matrix_check(rows, "q3_n5_84")
+    rows[0][1] = rows[1][0] = Fraction(49, 2)
+    with pytest.raises(GoldenMismatch, match=r"differs first at \(0, 1\)"):
+        _golden_matrix_check(rows, "q3_n5_84")
 
 
 def test_reproduce_all(capsys):

@@ -6,8 +6,8 @@ import pytest
 
 from tracesos import golden
 from tracesos.cert42 import build_certificate42, q2_kron_factors
-from tracesos.cert84 import build_certificate84, build_q2_84
-from tracesos.checks import z3_restriction_indices
+from tracesos.cert84 import build_certificate84, build_q2_84, \
+    z3_restriction_indices
 from tracesos.psdcert import (
     FactorMismatch,
     NotAKroneckerProduct,

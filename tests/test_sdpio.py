@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tracesos.cert42 import build_certificate42
 from tracesos.cert84 import InconsistentSystem, derive_param_system, \
@@ -115,6 +116,36 @@ def test_import_rejects_malformed_body_lines(tmp_path):
         tampered.write_text("\n".join(lines[:-1] + [bad]) + "\n")
         with pytest.raises(ValueError, match=re.escape(bad)):
             import_sdpa(str(tampered))
+
+
+_TOKEN = st.one_of(st.integers(-2, 12).map(str), st.text(max_size=4),
+                   st.sampled_from(["*", "block", "con", "meta", "m=4", "x",
+                                    "1/2", "1/0", "nan", "1e3"]))
+_VALID = ["* tracesos coefficient-matching SDP",
+          "* meta m=4 r=2 n=1 diagonal_a=0 basis_hash=217944a9ed511750",
+          "* block Q1 1", "* con 1 match:a[1,1]^2*b[1,1]^2",
+          "1", "1", "1", "6", "1 1 1 1 1"]
+_LINE = st.one_of(st.sampled_from(_VALID), st.text(max_size=30),
+                  st.lists(_TOKEN, max_size=6).map(" ".join))
+# random files, and valid ones with some lines replaced (None keeps one)
+_FILE = st.one_of(
+    st.lists(_LINE, max_size=14),
+    st.lists(st.one_of(st.none(), st.none(), _LINE),
+             min_size=len(_VALID), max_size=len(_VALID) + 2).map(
+        lambda new: [v if x is None else x
+                     for v, x in zip(_VALID + ["", ""], new)]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FILE)
+def test_import_raises_only_value_error(tmp_path, lines):
+    path = tmp_path / "fuzz.dat-s"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        import_sdpa(str(path))
+    except ValueError:
+        pass
 
 
 def test_entry_sum_constraint_optional():
