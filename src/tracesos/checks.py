@@ -1,18 +1,21 @@
 """End-to-end verification checks.
 
-Each function here implements one acceptance criterion and returns a
-CheckResult; the test suite asserts them and the ``verify-all`` command
-prints them.  Everything is exact: a check passes only on literal
-equality of polynomials, matrices, or rationals.
+Each check function implements one acceptance criterion over fixed
+ranges and returns a CheckResult; the test suite asserts them and the
+``verify-all`` command prints them.  REPRODUCIBLES lists the published
+objects that ``reproduce`` rebuilds; every comparison with a golden file
+goes through compare_golden.  Everything is exact: a check passes only on
+literal equality of polynomials, matrices, or rationals.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import random
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, Dict, List
 
 from . import cert42, cert84, golden, necklace, poly, psdcert, sdpio
 from .necklace import TraceProblem
@@ -33,18 +36,56 @@ class CheckResult:
         return out
 
 
-def check_dual_oracle(max_n_42: int = 5, max_n_84: int = 5) -> CheckResult:
-    """Necklace and matrix oracles agree term-for-term."""
+class GoldenMismatch(RuntimeError):
+    """A regenerated object differs from its bundled transcription."""
+
+
+def _first_difference(want, got, path=()):
+    """Path to the first leaf of the golden ``want`` that ``got`` does not
+    reproduce, or None.  Text leaves compare with ``str(got)``, number
+    leaves by exact equality, so 49/2 never matches 24."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict):
+            return path
+        for key in list(want) + [k for k in got if k not in want]:
+            if key not in want or key not in got:
+                return path + (key,)
+            diff = _first_difference(want[key], got[key], path + (key,))
+            if diff is not None:
+                return diff
+        return None
+    if isinstance(want, list):
+        if not isinstance(got, (list, tuple)):
+            return path
+        for i, (w, g) in enumerate(zip(want, got)):
+            diff = _first_difference(w, g, path + (i,))
+            if diff is not None:
+                return diff
+        return None if len(want) == len(got) else path + (min(len(want), len(got)),)
+    same = str(got) == want if isinstance(want, str) else got == want
+    return None if same else path
+
+
+def compare_golden(built: dict, detail: str = "") -> str:
+    """Compare each built object with the golden file of the same name and
+    return ``detail``; raise GoldenMismatch naming the file and the first
+    differing path."""
+    for name, got in built.items():
+        diff = _first_difference(golden.load(name), got)
+        if diff is not None:
+            raise GoldenMismatch(f"{name} differs first at {diff}")
+    return detail
+
+
+def check_dual_oracle() -> CheckResult:
+    """Necklace and matrix oracles agree term-for-term for n = 1..5."""
     bad = []
-    for n in range(1, max_n_42 + 1):
-        p = TraceProblem(4, 2, n)
-        if necklace.trace_coeff_necklace(p) != necklace.trace_coeff_matrix(p):
-            bad.append(("(4,2)", n))
-    for n in range(1, max_n_84 + 1):
-        p = TraceProblem(8, 4, n, diagonal_a=True)
-        if necklace.trace_coeff_necklace(p) != necklace.trace_coeff_matrix(p):
-            bad.append(("(8,4) diag", n))
-    detail = (f"(4,2) n=1..{max_n_42} and (8,4) n=1..{max_n_84} agree"
+    for n in range(1, 6):
+        for label, p in (("(4,2)", TraceProblem(4, 2, n)),
+                         ("(8,4) diag", TraceProblem(8, 4, n, diagonal_a=True))):
+            if necklace.trace_coeff_necklace(p) != necklace.trace_coeff_matrix(p):
+                bad.append((label, n))
+    detail = ("(4,2) n=1..5 and (8,4) n=1..5 agree"
               if not bad else f"disagreement at {bad}")
     return CheckResult("dual-oracle", not bad, detail)
 
@@ -52,92 +93,77 @@ def check_dual_oracle(max_n_42: int = 5, max_n_84: int = 5) -> CheckResult:
 def check_counterexample() -> CheckResult:
     """trace(ABAB) = -31 but the full word sum has trace 138."""
     g = golden.load("counterexample_42")
-    assign = {}
-    for kind, mat in (("a", g["a"]), ("b", g["b"])):
-        for i in range(2):
-            for j in range(2):
-                assign[poly.var(kind, i + 1, j + 1)] = Fraction(mat[i][j])
-    got_word = necklace.word_trace(g["word"], 2).substitute(assign)
+    assign = {poly.var(kind, i + 1, j + 1): Fraction(g[kind][i][j])
+              for kind in "ab" for i in range(2) for j in range(2)}
+    got_word = necklace.word_trace("ABAB", 2).substitute(assign)
     got_sum = necklace.trace_coeff_necklace(TraceProblem(4, 2, 2)).substitute(assign)
-    ok = got_word == g["trace_word"] and got_sum == g["trace_sum"]
-    return CheckResult(
-        "counterexample", ok,
-        f"trace({g['word']}) = {got_word}, trace of word sum = {got_sum}")
+    detail = f"trace(ABAB) = {got_word}, trace of word sum = {got_sum}"
+    try:  # A and B are the inputs; the traces are what is checked
+        compare_golden({"counterexample_42": {
+            "a": g["a"], "b": g["b"], "word": "ABAB",
+            "trace_word": got_word, "trace_sum": got_sum}})
+    except GoldenMismatch as exc:
+        return CheckResult("counterexample", False, f"{detail}; {exc}")
+    return CheckResult("counterexample", True, detail)
 
 
-def _matrix_bytes(rows) -> bytes:
-    return json.dumps([[str(x) for x in row] for row in rows],
-                      sort_keys=True).encode()
-
-
-def check_identity_42(max_n: int = 6) -> CheckResult:
-    """Assembled squares equal the coefficient polynomial; n=3 matrices
-    byte-match the published transcription."""
-    bad = []
-    for n in range(1, max_n + 1):
-        cert = cert42.build_certificate42(n)
-        if cert42.assemble_sos_42(cert) != \
-                necklace.trace_coeff_necklace(TraceProblem(4, 2, n)):
-            bad.append(n)
-    c3 = cert42.build_certificate42(3)
-    g1, g2 = golden.load("q1_n3_42"), golden.load("q2_n3_42")
-    golden_ok = (_matrix_bytes(c3.q1.rows) == _matrix_bytes(g1["rows"])
-                 and _matrix_bytes(c3.q2.rows) == _matrix_bytes(g2["rows"])
-                 and [list(l) for l in c3.q1.row_labels] == g1["labels"])
-    ok = not bad and golden_ok
-    detail = f"identity n=1..{max_n}, n=3 matrices match transcription"
+def check_identity_42() -> CheckResult:
+    """Assembled squares equal the coefficient polynomial for n = 1..6;
+    the n=3 matrices match the published transcription."""
+    bad = [n for n in range(1, 7)
+           if cert42.assemble_sos_42(cert42.build_certificate42(n))
+           != necklace.trace_coeff_necklace(TraceProblem(4, 2, n))]
     if bad:
-        detail = f"identity fails at n={bad}"
-    elif not golden_ok:
-        detail = "n=3 matrices differ from transcription"
-    return CheckResult("identity-42", ok, detail)
+        return CheckResult("identity-42", False, f"identity fails at n={bad}")
+    try:
+        for name in ("Q1-n3", "Q2-n3"):
+            REPRODUCIBLES[name]()
+    except GoldenMismatch as exc:
+        return CheckResult("identity-42", False,
+                           f"n=3 matrices differ from transcription: {exc}")
+    return CheckResult("identity-42", True,
+                       "identity n=1..6, n=3 matrices match transcription")
 
 
-def check_audit_42(max_n: int = 4) -> CheckResult:
-    """Every cell's necklace count equals its entry; totals are 6n^4."""
-    summaries = []
-    ok = True
-    for n in range(1, max_n + 1):
-        report = cert42.accounting_audit(n)
-        ok = ok and report.ok
-        summaries.append(f"n={n}:{report.total_assigned}")
+def check_audit_42() -> CheckResult:
+    """Every cell's necklace count equals its entry for n = 1..4; totals
+    are 6n^4."""
+    reports = [cert42.accounting_audit(n) for n in range(1, 5)]
+    ok = all(report.ok for report in reports)
     return CheckResult("audit-42", ok,
-                       "totals " + ", ".join(summaries) if ok
+                       "totals " + ", ".join(f"n={r.n}:{r.total_assigned}"
+                                             for r in reports) if ok
                        else "cell mismatch, run audit42 for details")
 
 
-def check_entry_sums(max_n_42: int = 8, max_n_84: int = 7) -> CheckResult:
-    """Entry sums are 6n^4 and 70n^4; the symbolic sum collapses at n=5."""
-    bad = []
-    for n in range(1, max_n_42 + 1):
-        if cert42.build_certificate42(n).entry_sum() != 6 * n**4:
-            bad.append(("(4,2)", n))
-    for n in range(2, max_n_84 + 1):
-        if cert84.build_certificate84(n).entry_sum() != 70 * n**4:
-            bad.append(("(8,4)", n))
+def check_entry_sums() -> CheckResult:
+    """Entry sums are 6n^4 (n <= 8) and 70n^4 (n <= 7); the symbolic sum
+    collapses at n=5."""
+    bad = [("(4,2)", n) for n in range(1, 9)
+           if cert42.build_certificate42(n).entry_sum() != 6 * n**4]
+    bad += [("(8,4)", n) for n in range(2, 8)
+            if cert84.build_certificate84(n).entry_sum() != 70 * n**4]
     sym = cert84.build_certificate84(5, params=cert84.SYMBOLIC).entry_sum()
     reduced = cert84.derive_param_system(5).reduce_affine(sym)
     if reduced != 70 * 5**4:
         bad.append(("symbolic n=5", reduced))
     return CheckResult(
         "entry-sums", not bad,
-        f"6n^4 for n<={max_n_42}, 70n^4 for n<={max_n_84}, symbolic sum "
-        f"collapses to 43750" if not bad else f"failures: {bad}")
+        "6n^4 for n<=8, 70n^4 for n<=7, symbolic sum collapses to 43750"
+        if not bad else f"failures: {bad}")
 
 
-def check_identity_84(max_n: int = 7, big: bool = False) -> CheckResult:
-    """Assembled squares equal the diagonal-A coefficient polynomial."""
-    top = 9 if big else max_n
-    bad = []
-    for n in range(1, top + 1):
-        cert = cert84.build_certificate84(n)
-        target = necklace.trace_coeff_necklace(
-            TraceProblem(8, 4, n, diagonal_a=True))
-        if cert84.assemble_sos_84(cert) != target:
-            bad.append(n)
+def check_identity_84(big: bool = False) -> CheckResult:
+    """Assembled squares equal the diagonal-A coefficient polynomial for
+    n = 1..7 (1..9 with ``big``); notes say whether Q3 is PSD from n = 6."""
+    top = 9 if big else 7
+    bad = [n for n in range(1, top + 1)
+           if cert84.assemble_sos_84(cert84.build_certificate84(n))
+           != necklace.trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True))]
     return CheckResult("identity-84", not bad,
                        f"identity holds for n=1..{top}" if not bad
-                       else f"identity fails at n={bad}")
+                       else f"identity fails at n={bad}",
+                       notes=[q3_psd_report(n) for n in range(6, top + 1)])
 
 
 def check_param_system() -> CheckResult:
@@ -163,34 +189,48 @@ def check_param_system() -> CheckResult:
         f"values satisfy it, n=4 derivation agrees")
 
 
-def check_psd_suite(max_n_gram: int = 8, max_n_schur: int = 6) -> CheckResult:
-    """Structured PSD certificates for all certificate matrices."""
+def check_psd_suite() -> CheckResult:
+    """Structured PSD certificates for all certificate matrices: Gram and
+    Kronecker for the (4,2) matrices up to n=8, Schur for the (8,4) Q2 up
+    to n=6, charpoly and restrictions for Q3(n=5)."""
     problems = []
-    notes = []
-    for n in range(1, max_n_gram + 1):
+    # what a route raises when the certificate does not fit its matrix
+    wrong = (psdcert.FactorMismatch, psdcert.NotAKroneckerProduct,
+             psdcert.SingularLeadingBlock)
+    for n in range(1, 9):
         cert = cert42.build_certificate42(n)
         u, scale = cert42.build_q1_gram_factor(n)
-        if not psdcert.verify_gram_factor(cert.q1, u, scale).psd:
-            problems.append(f"gram n={n}")
+        try:
+            if not psdcert.verify_gram_factor(cert.q1, u, scale).psd:
+                problems.append(f"gram n={n}")
+        except wrong as exc:
+            problems.append(f"gram n={n}: {exc}")
         if n >= 2:
             left, right = cert42.q2_kron_factors(n)
-            if not psdcert.verify_tensor_psd(cert.q2, left, right).psd:
-                problems.append(f"tensor n={n}")
-    for n in range(2, max_n_schur + 1):
+            try:
+                if not psdcert.verify_tensor_psd(cert.q2, left, right).psd:
+                    problems.append(f"tensor n={n}")
+            except wrong as exc:
+                problems.append(f"tensor n={n}: {exc}")
+    for n in range(2, 7):
         q2 = cert84.build_q2_84(n)
         split = n * (n - 1)
-        comp = psdcert.schur_complement(q2, split)
+        try:
+            comp = psdcert.schur_complement(q2, split)
+            ok = psdcert.verify_schur(q2, split).psd
+        except wrong as exc:
+            problems.append(f"schur n={n}: {exc}")
+            continue
         diag_ok = all(comp[i][i] == Fraction(52, 5) for i in range(comp.size))
         off_ok = all(comp[i][j] == 0 for i in range(comp.size)
                      for j in range(comp.size) if i != j)
-        if not (diag_ok and off_ok and psdcert.verify_schur(q2, split).psd):
+        if not (diag_ok and off_ok and ok):
             problems.append(f"schur n={n}")
+    try:
+        REPRODUCIBLES["Q3-n5-charpoly"]()
+    except GoldenMismatch as exc:
+        problems.append(f"q3 n=5 charpoly: {exc}")
     q3 = cert84.build_certificate84(5).q3_matrix()
-    cp_cert = psdcert.verify_charpoly_signs(q3)
-    want = golden.load("q3_charpoly_n5_84")
-    if not (cp_cert.psd and cp_cert.nullity == want["nullity"]
-            and cp_cert.witness["charpoly"] == want["coeffs_desc"]):
-        problems.append("q3 n=5 charpoly")
     for n_sub in (2, 3, 4):
         keep = cert84.z3_restriction_indices(5, n_sub)
         expected = cert84.build_certificate84(n_sub).q3_matrix()
@@ -204,7 +244,7 @@ def check_psd_suite(max_n_gram: int = 8, max_n_schur: int = 6) -> CheckResult:
     return CheckResult(
         "psd-certificates", not problems,
         "gram/tensor/schur/charpoly/submatrix routes all certify"
-        if not problems else f"failures: {problems}", notes=notes)
+        if not problems else f"failures: {problems}")
 
 
 def q3_psd_report(n: int) -> str:
@@ -231,16 +271,11 @@ def check_square_formula() -> CheckResult:
                        else f"mismatch at {bad}")
 
 
-def check_sdp_roundtrip(tmpdir: Optional[str] = None) -> CheckResult:
+def check_sdp_roundtrip() -> CheckResult:
     """Export/import identity; certificates pass verification; a
     perturbed certificate is rejected."""
-    import os
-    import tempfile
-
     problems = []
-    ctx = tempfile.TemporaryDirectory() if tmpdir is None else None
-    base = tmpdir or ctx.name
-    try:
+    with tempfile.TemporaryDirectory() as base:
         basis42 = sdpio.certificate_basis_42(2)
         prob42 = sdpio.build_sdp(TraceProblem(4, 2, 2), basis42)
         path42 = os.path.join(base, "p42.dat-s")
@@ -269,9 +304,6 @@ def check_sdp_roundtrip(tmpdir: Optional[str] = None) -> CheckResult:
         sol84 = {"Q1": c84.q1.rows, "Q2": c84.q2.rows, "Q3": c84.q3}
         if not sdpio.rationalize_and_verify(prob84, sol84, 1).accepted:
             problems.append("(8,4,3) published point rejected")
-    finally:
-        if ctx is not None:
-            ctx.cleanup()
     return CheckResult("sdp-roundtrip", not problems,
                        "round trips exact, certificates accepted, "
                        "perturbation rejected" if not problems
@@ -291,13 +323,13 @@ def _random_poly(rng: random.Random, n: int = 3, max_terms: int = 4,
     return poly.Polynomial(terms)
 
 
-def check_properties(cases: int = 1000) -> CheckResult:
-    """Ring laws on random polynomials, relabeling invariance and the
-    a<->b swap symmetry."""
+def check_properties() -> CheckResult:
+    """Ring laws on 1,000 random polynomial triples' worth of cases,
+    relabeling invariance and the a<->b swap symmetry."""
     rng = random.Random(0x5305)
     problems = []
     ran = 0
-    while ran < cases:
+    while ran < 1000:
         p, q, r = (_random_poly(rng) for _ in range(3))
         if p + q != q + p:
             problems.append("commutativity")
@@ -321,8 +353,106 @@ def check_properties(cases: int = 1000) -> CheckResult:
         if not problems else f"failures: {sorted(set(problems))}")
 
 
+def _matrix(name: str, mat: psdcert.RationalMatrix, labels: str = "") -> str:
+    """Compare a matrix's rows, and its ``labels`` attribute if named, with
+    the golden file ``name``."""
+    built = {"rows": mat.rows}
+    if labels:
+        built["labels"] = getattr(mat, labels)
+    return compare_golden({name: built},
+                          f"matches {name} ({len(mat.rows)}x{len(mat.rows[0])})")
+
+
+def _texts(vectors) -> list:
+    return [p.text() for p in vectors]
+
+
+def _family(vectors: dict) -> dict:
+    return {f"{i}_{j}": _texts(vec) for (i, j), vec in vectors.items()}
+
+
+def _passed(result: CheckResult, detail: str = "") -> str:
+    if not result.ok:
+        raise GoldenMismatch(result.detail)
+    return detail or result.detail
+
+
+def _reproduce_u_n3() -> str:
+    u, scale = cert42.build_q1_gram_factor(3)
+    detail = _matrix("u_n3_42", u, "col_labels")
+    try:
+        cert = psdcert.verify_gram_factor(cert42.build_certificate42(3).q1,
+                                          u, scale)
+    except psdcert.FactorMismatch as exc:
+        raise GoldenMismatch(f"Q1 is not {scale} U^T U: {exc}") from None
+    return detail + f"; Q1 = {scale} U^T U verified ({cert.psd})"
+
+
+def _reproduce_q1_n1() -> str:
+    q1 = cert42.build_certificate42(1).q1
+    if q1.rows != ((6,),):
+        raise GoldenMismatch(f"Q1(n=1) is {q1.rows}, expected [[6]]")
+    return "Q1(n=1) = [6]"
+
+
+def _reproduce_z_n3() -> str:
+    cert = cert42.build_certificate42(3)
+    return compare_golden({"z1_n3_42": {"entries": _texts(cert.z1)},
+                           "z2_n3_42": {"vectors": _family(cert.z2_family)}},
+                          "z1 and z2 family at n=3 match transcription")
+
+
+def _reproduce_q3_charpoly() -> str:
+    cert = psdcert.verify_charpoly_signs(cert84.build_certificate84(5).q3_matrix())
+    coeffs = cert.witness["charpoly"]
+    return compare_golden({"q3_charpoly_n5_84": {"coeffs_desc": coeffs,
+                                                 "nullity": cert.nullity}},
+                          f"all {len(coeffs)} coefficients match, PSD with "
+                          f"nullity {cert.nullity}")
+
+
+def _reproduce_x_values() -> str:
+    vals = cert84.published_params()
+    if len(vals) != 22 or any(v < 0 for v in vals.values()):
+        raise GoldenMismatch("published values must be 22 nonnegative numbers")
+    if not cert84.ParamSystem.published().satisfied_by(vals):
+        raise GoldenMismatch("published values violate the published system")
+    return "22 nonnegative values satisfying the published system"
+
+
+# The published objects.  Each entry rebuilds one, compares it with its
+# transcription under golden/ and returns a one-line detail, or raises
+# GoldenMismatch.  ``tracesos reproduce`` prints them; the checks above
+# call the entries they share.
+REPRODUCIBLES: Dict[str, Callable[[], str]] = {
+    "Q1-n3": lambda: _matrix("q1_n3_42", cert42.build_certificate42(3).q1,
+                             "row_labels"),
+    "Q2-n3": lambda: _matrix("q2_n3_42", cert42.build_certificate42(3).q2),
+    "U-n3": _reproduce_u_n3,
+    "Q1-n1": _reproduce_q1_n1,
+    "z-n3": _reproduce_z_n3,
+    "counterexample-ABAB": lambda: _passed(check_counterexample()),
+    "Q3-n5": lambda: _matrix("q3_n5_84", cert84.build_certificate84(5).q3_matrix()),
+    "Q3-n5-symbolic": lambda: compare_golden(
+        {"q3_symbolic_n5_84": {"entries": cert84.q3_grid(5, cert84.SYMBOLIC)}},
+        "parametrized Q3(n=5) matches transcription"),
+    "Q3-n5-charpoly": _reproduce_q3_charpoly,
+    "Q2-84-n5": lambda: _matrix("q2_n5_84", cert84.build_certificate84(5).q2),
+    "z2-84-n5": lambda: compare_golden(
+        {"z2_n5_84": {"entries": _texts(cert84.build_certificate84(5).z2)}},
+        "z2(n=5) matches transcription (30 entries)"),
+    "z3-84-n5": lambda: compare_golden(
+        {"z3_n5_84": {"vectors": _family(cert84.build_certificate84(5).z3_family)}},
+        "all ten z3 vectors at n=5 match transcription"),
+    "param-system": lambda: _passed(
+        check_param_system(),
+        "derived system reproduces all 11 published equations"),
+    "x-values": _reproduce_x_values,
+}
+
+
 def run_all(big: bool = False) -> List[CheckResult]:
-    results = [
+    return [
         check_dual_oracle(),
         check_counterexample(),
         check_identity_42(),
@@ -335,6 +465,3 @@ def run_all(big: bool = False) -> List[CheckResult]:
         check_sdp_roundtrip(),
         check_properties(),
     ]
-    top = 9 if big else 7
-    results[5].notes.extend(q3_psd_report(n) for n in range(6, top + 1))
-    return results

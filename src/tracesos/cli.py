@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: coeff, cert42, audit42, cert84, paramsys, psd, sdp-export,
-sdp-verify, reproduce, verify-all.  Every command is deterministic for a
-given invocation and uses exit codes as the machine contract: 0 on
-success/verified, 1 on a failed verification, 2 on bad usage or
-unreadable input.
+sdp-verify, reproduce, verify-all.  ``reproduce`` and ``verify-all`` print
+what ``checks`` computes (its REPRODUCIBLES table and run_all).  Every
+command is deterministic for a given invocation and uses exit codes as
+the machine contract: 0 on success/verified, 1 on a failed verification,
+2 on bad usage or unreadable input.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import cert42, cert84, checks, golden, necklace, psdcert, sdpio
+from . import cert42, cert84, checks, necklace, psdcert, sdpio
 from .necklace import BudgetExceeded, TraceProblem
-from .poly import mono_str
+from .poly import read_number
 
 DEFAULT_BUDGET = necklace.DEFAULT_BUDGET
 
@@ -25,16 +25,12 @@ class UnknownObject(ValueError):
     """reproduce was asked for an identifier it does not know."""
 
 
-class GoldenMismatch(RuntimeError):
-    """A regenerated object differs from its bundled transcription."""
-
-
-def _write_out(args, payload: dict) -> None:
+def _write_out(path, payload: dict) -> None:
     text = json.dumps(payload, indent=1, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {path}")
     else:
         print(text)
 
@@ -54,7 +50,7 @@ def cmd_coeff(args) -> int:
     payload = {"m": args.m, "r": args.r, "n": args.n,
                "diagonal_a": args.diagonal_a, "oracle": args.oracle,
                "terms": p.to_jsonable()}
-    _write_out(args, payload)
+    _write_out(args.out, payload)
     return 0
 
 
@@ -69,9 +65,7 @@ def cmd_cert42(args) -> int:
                for (i, j), vec in sorted(cert.z2_family.items())},
         "entry_sum": str(cert.entry_sum()),
     }
-    if args.emit:
-        args.out = args.emit
-    _write_out(args, payload)
+    _write_out(args.emit, payload)
     return 0
 
 
@@ -109,7 +103,8 @@ def cmd_cert84(args) -> int:
         if not isinstance(raw, dict):
             raise ValueError(f"{args.params}: expected a JSON object of "
                              f"x values")
-        params = {int(str(k).lstrip("x")): Fraction(v) for k, v in raw.items()}
+        params = {int(k.lstrip("x")): read_number(v, f"{args.params}: {k}")
+                  for k, v in raw.items()}
     cert = cert84.build_certificate84(args.n, params=params)
     payload = {
         "n": args.n,
@@ -117,18 +112,14 @@ def cmd_cert84(args) -> int:
         "z3_blocks_sizes": list(cert84.z3_block_sizes(args.n)) if args.n >= 2 else [],
         "entry_sum": str(cert.entry_sum()),
     }
-    if args.emit:
-        args.out = args.emit
-    _write_out(args, payload)
+    _write_out(args.emit, payload)
     return 0
 
 
 def cmd_paramsys(args) -> int:
     system = cert84.derive_param_system(args.n)
-    if args.emit:
-        args.out = args.emit
-    if getattr(args, "out", None) or args.json:
-        _write_out(args, system.to_jsonable())
+    if args.emit or args.json:
+        _write_out(args.emit, system.to_jsonable())
     else:
         print(system)
         print(f"rank {system.rank} over {cert84.PARAM_COUNT} parameters")
@@ -160,7 +151,8 @@ def cmd_psd(args) -> int:
             return 2
         with open(args.factor) as fh:
             u = psdcert.RationalMatrix.from_jsonable(json.load(fh))
-        cert = psdcert.verify_gram_factor(mat, u, Fraction(args.scale))
+        cert = psdcert.verify_gram_factor(mat, u,
+                                          read_number(args.scale, "--scale"))
     else:
         print(f"unknown method {method}", file=sys.stderr)
         return 2
@@ -209,163 +201,20 @@ def cmd_sdp_verify(args) -> int:
     return 1
 
 
-def _golden_matrix_check(built_rows, golden_name, key="rows"):
-    want = golden.load(golden_name)[key]
-    got = [[Fraction(x) for x in row] for row in built_rows]
-    if got != want:
-        diff = next(((i, j) for i in range(len(want))
-                     for j in range(len(want[0])) if got[i][j] != want[i][j]))
-        raise GoldenMismatch(f"{golden_name} differs first at {diff}")
-    return f"matches {golden_name} ({len(want)}x{len(want[0])})"
-
-
-def _reproduce_q1_n3():
-    return _golden_matrix_check(cert42.build_certificate42(3).q1.rows,
-                                "q1_n3_42")
-
-
-def _reproduce_q2_n3():
-    return _golden_matrix_check(cert42.build_certificate42(3).q2.rows,
-                                "q2_n3_42")
-
-
-def _reproduce_u_n3():
-    u, scale = cert42.build_q1_gram_factor(3)
-    msg = _golden_matrix_check(u.rows, "u_n3_42")
-    cert = psdcert.verify_gram_factor(cert42.build_certificate42(3).q1, u, scale)
-    return msg + f"; Q1 = {scale} U^T U verified ({cert.psd})"
-
-
-def _reproduce_q1_n1():
-    q1 = cert42.build_certificate42(1).q1
-    if q1.rows != ((6,),):
-        raise GoldenMismatch(f"Q1(n=1) is {q1.rows}, expected [[6]]")
-    return "Q1(n=1) = [6]"
-
-
-def _reproduce_z_n3():
-    cert = cert42.build_certificate42(3)
-    want_z1 = golden.load("z1_n3_42")["entries"]
-    got_z1 = [mono_str(next(iter(p.terms))) for p in cert.z1]
-    if got_z1 != want_z1:
-        raise GoldenMismatch("z1(n=3) differs from transcription")
-    want_z2 = golden.load("z2_n3_42")["vectors"]
-    for (i, j), vec in cert.z2_family.items():
-        got = [mono_str(next(iter(p.terms))) for p in vec]
-        if got != want_z2[f"{i}_{j}"]:
-            raise GoldenMismatch(f"z2({i},{j}) differs from transcription")
-    return "z1 and z2 family at n=3 match transcription"
-
-
-def _reproduce_counterexample():
-    res = checks.check_counterexample()
-    if not res.ok:
-        raise GoldenMismatch(res.detail)
-    return res.detail
-
-
-def _reproduce_q3_n5():
-    return _golden_matrix_check(cert84.build_certificate84(5).q3, "q3_n5_84")
-
-
-def _reproduce_q3_n5_symbolic():
-    grid = cert84.q3_grid(5, params=cert84.SYMBOLIC)
-    want = golden.load("q3_symbolic_n5_84")["entries"]
-    got = [[str(x) for x in row] for row in grid]
-    want_s = [[str(x) for x in row] for row in want]
-    if got != want_s:
-        diff = next(((i, j) for i in range(24) for j in range(24)
-                     if got[i][j] != want_s[i][j]))
-        raise GoldenMismatch(f"symbolic Q3 differs first at {diff}")
-    return "parametrized Q3(n=5) matches transcription"
-
-
-def _reproduce_q3_n5_charpoly():
-    cert = psdcert.verify_charpoly_signs(cert84.build_certificate84(5).q3_matrix())
-    want = golden.load("q3_charpoly_n5_84")
-    if cert.witness["charpoly"] != want["coeffs_desc"]:
-        raise GoldenMismatch("characteristic polynomial differs")
-    if cert.nullity != want["nullity"]:
-        raise GoldenMismatch(f"nullity {cert.nullity} != {want['nullity']}")
-    return (f"all {len(want['coeffs_desc'])} coefficients match, "
-            f"PSD with nullity {cert.nullity}")
-
-
-def _reproduce_q2_84_n5():
-    return _golden_matrix_check(cert84.build_certificate84(5).q2.rows,
-                                "q2_n5_84")
-
-
-def _reproduce_z2_84_n5():
-    got = [mono_str(next(iter(p.terms)))
-           for p in cert84.build_certificate84(5).z2]
-    if got != golden.load("z2_n5_84")["entries"]:
-        raise GoldenMismatch("z2(n=5) differs from transcription")
-    return "z2(n=5) matches transcription (30 entries)"
-
-
-def _reproduce_z3_84_n5():
-    want = golden.load("z3_n5_84")["vectors"]
-    for (i, j), vec in cert84.build_certificate84(5).z3_family.items():
-        got = [mono_str(next(iter(p.terms))) for p in vec]
-        if got != want[f"{i}_{j}"]:
-            raise GoldenMismatch(f"z3({i},{j}) differs from transcription")
-    return "all ten z3 vectors at n=5 match transcription"
-
-
-def _reproduce_param_system():
-    derived = cert84.derive_param_system(5)
-    published = cert84.ParamSystem.published()
-    if not derived.equivalent(published):
-        raise GoldenMismatch("derived system not equivalent to the published one")
-    missing = [eq for eq in published.equations if not derived.contains(eq)]
-    if missing:
-        raise GoldenMismatch(f"published equations missing: {missing}")
-    if not derived.satisfied_by(cert84.published_params()):
-        raise GoldenMismatch("published values violate the derived system")
-    return "derived system reproduces all 11 published equations"
-
-
-def _reproduce_x_values():
-    vals = cert84.published_params()
-    if len(vals) != 22 or any(v < 0 for v in vals.values()):
-        raise GoldenMismatch("published values must be 22 nonnegative numbers")
-    if not cert84.ParamSystem.published().satisfied_by(vals):
-        raise GoldenMismatch("published values violate the published system")
-    return "22 nonnegative values satisfying the published system"
-
-
-REPRODUCIBLES = {
-    "Q1-n3": _reproduce_q1_n3,
-    "Q2-n3": _reproduce_q2_n3,
-    "U-n3": _reproduce_u_n3,
-    "Q1-n1": _reproduce_q1_n1,
-    "z-n3": _reproduce_z_n3,
-    "counterexample-ABAB": _reproduce_counterexample,
-    "Q3-n5": _reproduce_q3_n5,
-    "Q3-n5-symbolic": _reproduce_q3_n5_symbolic,
-    "Q3-n5-charpoly": _reproduce_q3_n5_charpoly,
-    "Q2-84-n5": _reproduce_q2_84_n5,
-    "z2-84-n5": _reproduce_z2_84_n5,
-    "z3-84-n5": _reproduce_z3_84_n5,
-    "param-system": _reproduce_param_system,
-    "x-values": _reproduce_x_values,
-}
-
-
 def cmd_reproduce(args) -> int:
-    names = list(REPRODUCIBLES) if args.object == "all" else [args.object]
-    unknown = [n for n in names if n not in REPRODUCIBLES]
+    table = checks.REPRODUCIBLES
+    names = list(table) if args.object == "all" else [args.object]
+    unknown = [n for n in names if n not in table]
     if unknown:
         raise UnknownObject(
-            f"unknown object {unknown[0]!r}; known: {', '.join(REPRODUCIBLES)}")
+            f"unknown object {unknown[0]!r}; known: {', '.join(table)}")
     results = []
     ok = True
     for name in names:
         try:
-            detail = REPRODUCIBLES[name]()
+            detail = table[name]()
             results.append({"object": name, "ok": True, "detail": detail})
-        except GoldenMismatch as exc:
+        except checks.GoldenMismatch as exc:
             ok = False
             results.append({"object": name, "ok": False, "detail": str(exc)})
     if args.json:
@@ -399,14 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certificates for trace-power coefficients")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, budget=True, out=True):
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="max enumeration visits (default 1e8)")
-            p.add_argument("--big", action="store_true",
-                           help="lift the enumeration budget")
-        if out:
-            p.add_argument("--out", help="write JSON here instead of stdout")
+    def add_budget(p):
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="max enumeration visits (default 1e8)")
+        p.add_argument("--big", action="store_true",
+                       help="lift the enumeration budget")
 
     p = sub.add_parser("coeff", help="compute one coefficient polynomial")
     p.add_argument("--m", type=int, required=True)
@@ -415,19 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagonal-a", action="store_true")
     p.add_argument("--oracle", choices=("necklace", "matrix"),
                    default="necklace")
-    add_common(p)
+    p.add_argument("--out", help="write JSON here instead of stdout")
+    add_budget(p)
     p.set_defaults(func=cmd_coeff)
 
     p = sub.add_parser("cert42", help="build the degree-4 certificate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit", help="write matrices and vectors to this file")
-    add_common(p, budget=False)
     p.set_defaults(func=cmd_cert42)
 
     p = sub.add_parser("audit42", help="replay the necklace accounting")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    add_common(p, out=False)
+    add_budget(p)
     p.set_defaults(func=cmd_audit42)
 
     p = sub.add_parser("cert84", help="build the degree-8 diagonal-A certificate")
@@ -437,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--general-a", action="store_true",
                    help=argparse.SUPPRESS)
     p.add_argument("--emit", help="write the Q3 matrix to this file")
-    add_common(p, budget=False)
     p.set_defaults(func=cmd_cert84)
 
     p = sub.add_parser("paramsys", help="re-derive the parameter constraints")
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--emit", help="write the system to this file")
     p.add_argument("--json", action="store_true")
-    add_common(p, budget=False)
     p.set_defaults(func=cmd_paramsys)
 
     p = sub.add_parser("psd", help="certify positive semidefiniteness")
@@ -467,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry-sum", action="store_true",
                    help="add the total-count linear constraint")
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--big", action="store_true")
+    add_budget(p)
     p.set_defaults(func=cmd_sdp_export)
 
     p = sub.add_parser("sdp-verify", help="rationalize and verify a solution")

@@ -1,9 +1,10 @@
 """Bundled transcriptions of published tables, used as comparison goldens.
 
 These JSON files are frozen copies of printed objects (matrices, vectors,
-parameter values, the linear system, the characteristic polynomial).  The
-builders never read them; tests and the ``reproduce`` command compare
-freshly constructed objects against them.
+parameter values, the linear system, the characteristic polynomial).
+``cert84`` takes the published x values and the 11-equation system from
+here; every other object is only compared against its file, leaf by leaf,
+by ``checks.compare_golden`` (the ``reproduce`` table and the checks).
 """
 
 from __future__ import annotations

@@ -174,7 +174,7 @@ def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polyn
         if mono is None:
             continue
         acc[mono] = acc.get(mono, 0) + 1
-    return Polynomial.from_raw(acc)
+    return Polynomial(acc)
 
 
 Matrix = List[List[Polynomial]]
@@ -239,7 +239,7 @@ def expand_square_formula(m: int, n: int) -> Polynomial:
                 for w2 in walks:
                     key = mono_mul(w1, w2)
                     acc[key] = acc.get(key, 0) + 1
-    return Polynomial.from_raw(acc)
+    return Polynomial(acc)
 
 
 def word_trace(word: Iterable[str], n: int, diagonal_a: bool = False) -> Polynomial:

@@ -14,6 +14,7 @@ serialization order is reproducible.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -66,10 +67,6 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(counts.items()))
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 def mono_str(m: Monomial) -> str:
     if not m:
         return "1"
@@ -101,6 +98,35 @@ def parse_monomial(text: str) -> Monomial:
             raise ValueError(f"bad exponent in {factor!r}")
         vs.extend([v] * exp)
     return mono_from_vars(vs)
+
+
+def read_number(value, where: str) -> Fraction:
+    """Read an exact number that comes from outside the program.
+
+    Accepts an int, a float, a Fraction, or decimal or fraction text.
+    Text whose mantissa length plus exponent exceeds the interpreter's
+    limit for printing an int (``sys.get_int_max_str_digits()``) is
+    refused rather than expanded.  Every refusal is a ValueError that
+    starts with ``where``.
+    """
+    if isinstance(value, str):
+        mantissa, _, exp = value.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        try:
+            size = len(mantissa.strip()) + abs(int(exp or 0))
+        except ValueError:
+            size = 0  # not a number; Fraction names the problem below
+        if limit and size > limit:
+            raise ValueError(f"{where}: {value!r:.40} has more than {limit} "
+                             f"digits")
+    elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise ValueError(f"{where}: expected a number, got {value!r:.40}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{where}: zero denominator") from None
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 class Affine:
@@ -237,23 +263,12 @@ class Polynomial:
         return cls()
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls({MONO_ONE: Fraction(c)})
-
-    @classmethod
     def monomial(cls, m: Monomial, c: Coeff = 1) -> "Polynomial":
         return cls({m: c})
 
     @classmethod
     def variable(cls, v: Var) -> "Polynomial":
         return cls({((v, 1),): 1})
-
-    @classmethod
-    def from_raw(cls, terms: Dict[Monomial, Coeff]) -> "Polynomial":
-        """Adopt a freshly built dict without copying (internal fast path)."""
-        p = cls.__new__(cls)
-        p.terms = {m: c for m, c in terms.items() if not _coeff_is_zero(c)}
-        return p
 
     def __bool__(self):
         return bool(self.terms)
@@ -282,7 +297,7 @@ class Polynomial:
                 out[m] = out[m] + c
             else:
                 out[m] = c
-        return Polynomial.from_raw(out)
+        return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -293,10 +308,10 @@ class Polynomial:
                 out[m] = out[m] - c
             else:
                 out[m] = -c
-        return Polynomial.from_raw(out)
+        return Polynomial(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial.from_raw({m: -c for m, c in self.terms.items()})
+        return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -316,7 +331,7 @@ class Polynomial:
                     out[m] = out[m] + c
                 else:
                     out[m] = c
-        return Polynomial.from_raw(out)
+        return Polynomial(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Affine)):
@@ -326,10 +341,7 @@ class Polynomial:
     def scale(self, c: Coeff) -> "Polynomial":
         if _coeff_is_zero(c):
             return Polynomial.zero()
-        return Polynomial.from_raw({m: c * cc for m, cc in self.terms.items()})
-
-    def degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
+        return Polynomial({m: c * cc for m, cc in self.terms.items()})
 
     def variables(self) -> set:
         vs = set()
@@ -377,17 +389,14 @@ class Polynomial:
                 out[key] = out[key] + cc
             else:
                 out[key] = cc
-        return Polynomial.from_raw(out)
+        return Polynomial(out)
 
     def substitute_params(self, values: Mapping[int, Scalar]) -> "Polynomial":
         """Substitute numeric values for x-parameters in the coefficients."""
         out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             out[m] = c.subs(values) if isinstance(c, Affine) else c
-        return Polynomial.from_raw(out)
-
-    def coefficient(self, m: Monomial) -> Coeff:
-        return self.terms.get(m, 0)
+        return Polynomial(out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -426,29 +435,20 @@ def swap_ab(p: Polynomial) -> Polynomial:
     for m, c in p.terms.items():
         m2 = tuple(sorted(((flip[k], i, j), e) for (k, i, j), e in m))
         out[m2] = c
-    return Polynomial.from_raw(out)
+    return Polynomial(out)
 
 
 def relabel(p: Polynomial, perm: Mapping[int, int]) -> Polynomial:
     """Apply a permutation of the index set [n] to every variable."""
     out: Dict[Monomial, Coeff] = {}
     for m, c in p.terms.items():
-        vs = []
-        for (k, i, j), e in m:
-            vs.append((var(k, perm.get(i, i), perm.get(j, j)), e))
-        key = tuple(sorted(_merge_exps(vs)))
+        key = mono_from_vars(var(k, perm.get(i, i), perm.get(j, j))
+                             for (k, i, j), e in m for _ in range(e))
         if key in out:
             out[key] = out[key] + c
         else:
             out[key] = c
-    return Polynomial.from_raw(out)
-
-
-def _merge_exps(pairs):
-    counts: Dict[Var, int] = {}
-    for v, e in pairs:
-        counts[v] = counts.get(v, 0) + e
-    return counts.items()
+    return Polynomial(out)
 
 
 def quadratic_form(matrix, z: list) -> Polynomial:
@@ -475,4 +475,4 @@ def quadratic_form(matrix, z: list) -> Polynomial:
                     acc[m] = acc[m] + cc
                 else:
                     acc[m] = cc
-    return Polynomial.from_raw(acc)
+    return Polynomial(acc)

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .poly import read_number
+
 
 class FactorMismatch(ValueError):
     """scale * U^T U differs from the target matrix."""
@@ -156,14 +158,19 @@ class RationalMatrix:
 
     @classmethod
     def from_jsonable(cls, obj) -> "RationalMatrix":
-        def delabel(ls):
+        def delabel(key):
+            ls = obj.get(key)
+            if ls is not None and not isinstance(ls, list):
+                raise ValueError(f"matrix JSON: '{key}' is not a list")
             return [tuple(l) if isinstance(l, list) else l for l in ls] if ls else None
 
-        if not (isinstance(obj, dict) and isinstance(obj.get("rows"), list)):
-            raise ValueError("matrix JSON needs a 'rows' list")
-        return cls([[Fraction(x) for x in row] for row in obj["rows"]],
-                   delabel(obj.get("row_labels")),
-                   delabel(obj.get("col_labels")))
+        if not (isinstance(obj, dict) and isinstance(obj.get("rows"), list)
+                and all(isinstance(row, list) for row in obj["rows"])):
+            raise ValueError("matrix JSON needs a 'rows' list of lists")
+        return cls([[read_number(x, f"matrix entry ({i},{j})")
+                     for j, x in enumerate(row)]
+                    for i, row in enumerate(obj["rows"])],
+                   delabel("row_labels"), delabel("col_labels"))
 
     def content_hash(self) -> str:
         blob = json.dumps([[str(x) for x in row] for row in self.rows],

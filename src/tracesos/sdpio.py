@@ -26,7 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .cert84 import (SYMBOLIC, InconsistentSystem, ParamSystem,
                      canonical_equation, q3_grid)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import Affine, Monomial, Polynomial, mono_from_vars, mono_str, var
+from .poly import (Affine, Monomial, Polynomial, mono_from_vars, mono_str,
+                   read_number, var)
 from .psdcert import PsdCertificate, RationalMatrix, verify_charpoly_signs
 
 
@@ -164,9 +165,6 @@ class SdpProblem:
     def match_constraints(self) -> List[Constraint]:
         return [c for c in self.constraints if c.name.startswith("match:")]
 
-    def variable_count(self) -> int:
-        return sum(d * (d + 1) // 2 for _, d in self.blocks)
-
 
 def build_sdp(p: TraceProblem, basis: BasisSpec,
               budget: Optional[int] = None,
@@ -262,13 +260,6 @@ def export_sdpa(prob: SdpProblem, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sdpa_number(token: str, line: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"SDPA line {line!r}: zero denominator") from None
-
-
 def import_sdpa(path: str) -> SdpProblem:
     """Read back a problem written by :func:`export_sdpa`."""
     meta: Dict[str, str] = {}
@@ -298,7 +289,8 @@ def import_sdpa(path: str) -> SdpProblem:
     dims = [int(t) for t in body[2].split()]
     if len(dims) != n_block:
         raise ValueError("block count mismatch")
-    rhs_vals = [_sdpa_number(t, body[3]) for t in body[3].split()]
+    rhs_vals = [read_number(t, f"SDPA line {body[3]!r}")
+                for t in body[3].split()]
     if len(rhs_vals) != n_con:
         raise ValueError("rhs count mismatch")
     lhs_map: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {
@@ -319,7 +311,7 @@ def import_sdpa(path: str) -> SdpProblem:
                              f"the {dims[b - 1]}x{dims[b - 1]} block")
         key = (b - 1, i - 1, j - 1)
         lhs_map[k][key] = lhs_map[k].get(key, Fraction(0)) + \
-            _sdpa_number(fields[4], line)
+            read_number(fields[4], f"SDPA line {line!r}")
     constraints = []
     for k in range(1, n_con + 1):
         constraints.append(Constraint(
@@ -385,13 +377,11 @@ def rationalize_and_verify(prob: SdpProblem,
             for j in range(dim):
                 x = raw[i][j] if j >= i else raw[j][i]
                 try:
-                    f = Fraction(x) if not isinstance(x, float) \
-                        else Fraction(x).limit_denominator(denominator_bound)
-                except (TypeError, ValueError, OverflowError,
-                        ZeroDivisionError) as exc:
-                    raise RationalizationFailed(
-                        f"block {label} entry ({i},{j}): {exc}") from exc
-                row.append(f)
+                    f = read_number(x, f"block {label} entry ({i},{j})")
+                except ValueError as exc:
+                    raise RationalizationFailed(str(exc)) from None
+                row.append(f.limit_denominator(denominator_bound)
+                           if isinstance(x, float) else f)
             rows.append(row)
         blocks.append(RationalMatrix(rows))
     report = SolutionReport(accepted=False,

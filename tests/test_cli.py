@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tracesos.cli import main
 from tracesos.poly import Polynomial
@@ -44,7 +47,10 @@ def test_workers_flag_is_gone(capsys):
     for argv in (["coeff", "--m", "4", "--r", "2", "--n", "1", "--workers", "2"],
                  ["verify-all", "--workers", "2"],
                  ["verify-all", "--max-n-42", "6"],
-                 ["verify-all", "--max-n-84", "3"]):
+                 ["verify-all", "--max-n-84", "3"],
+                 ["cert42", "--n", "2", "--out", "m.json"],
+                 ["cert84", "--n", "2", "--out", "q3.json"],
+                 ["paramsys", "--out", "system.json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -64,7 +70,13 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
              "norows.json": '{"cols": [[1]]}',
              "list.json": "[1, 2]",
              "badblock.json": '{"G": 5}',
-             "sol.json": '{"G": [[1]]}'}
+             "sol.json": '{"G": [[1]]}',
+             "one.json": '{"rows": [[1]]}',
+             "nullentry.json": '{"rows": [[null]]}',
+             "zeroden.json": '{"rows": [["1/0"]]}',
+             "nullparam.json": '{"x1": null}',
+             "zeroparam.json": '{"x1": "1/0"}',
+             "huge.dat-s": "1\n1\n1\n1e2000000\n1 1 1 1 1\n"}
     path = {"missing.json": str(tmp_path / "missing.json")}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -85,7 +97,20 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
             (("cert84", "--n", "2", "--params", path["list.json"]),
              "JSON object"),
             (("sdp-verify", "--prob", str(prob),
-              "--solution", path["badblock.json"]), "block G")):
+              "--solution", path["badblock.json"]), "block G"),
+            (("psd", "--in", path["nullentry.json"]),
+             "matrix entry (0,0): expected a number"),
+            (("psd", "--in", path["zeroden.json"]),
+             "matrix entry (0,0): zero denominator"),
+            (("psd", "--in", path["one.json"], "--method", "gram",
+              "--factor", path["one.json"], "--scale", "1/0"),
+             "--scale: zero denominator"),
+            (("cert84", "--n", "2", "--params", path["nullparam.json"]),
+             "x1: expected a number"),
+            (("cert84", "--n", "2", "--params", path["zeroparam.json"]),
+             "x1: zero denominator"),
+            (("sdp-verify", "--prob", path["huge.dat-s"],
+              "--solution", path["sol.json"]), "more than")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -210,17 +235,146 @@ def test_golden_check_compares_exact_values():
     from fractions import Fraction
 
     from tracesos.cert84 import build_certificate84
-    from tracesos.cli import GoldenMismatch, _golden_matrix_check
+    from tracesos.checks import GoldenMismatch, compare_golden
 
     rows = [list(row) for row in build_certificate84(5).q3]
     assert rows[0][1] == 24
-    _golden_matrix_check(rows, "q3_n5_84")
+    compare_golden({"q3_n5_84": {"rows": rows}})
     rows[0][1] = rows[1][0] = Fraction(49, 2)
-    with pytest.raises(GoldenMismatch, match=r"differs first at \(0, 1\)"):
-        _golden_matrix_check(rows, "q3_n5_84")
+    with pytest.raises(GoldenMismatch,
+                       match=r"q3_n5_84 differs first at \('rows', 0, 1\)"):
+        compare_golden({"q3_n5_84": {"rows": rows}})
 
 
 def test_reproduce_all(capsys):
     code, out, _ = run(capsys, "reproduce", "all")
     assert code == 0
     assert out.count("OK  ") == 14
+
+
+def test_wrong_certificate_fails_verification(monkeypatch, capsys):
+    from tracesos import cert42
+    from tracesos.psdcert import RationalMatrix
+
+    build_q1 = cert42.build_q1
+
+    def wrong_q1(n):
+        q1 = build_q1(n)
+        if n < 2:
+            return q1
+        rows = [list(row) for row in q1.rows]
+        rows[0][0] += 6
+        return RationalMatrix(rows, row_labels=q1.row_labels)
+
+    monkeypatch.setattr(cert42, "build_q1", wrong_q1)
+    code, out, _ = run(capsys, "reproduce", "U-n3")
+    assert code == 1 and out.startswith("FAIL U-n3: Q1 is not 6 U^T U"), out
+    code, out, err = run(capsys, "verify-all")
+    assert code == 1, err
+    lines = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert len(lines) == 11, out
+    psd = next(line for line in lines if "psd-certificates" in line)
+    assert psd.startswith("FAIL") and "gram n=2: entry (0,0)" in psd, psd
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def test_every_golden_file_is_compared(monkeypatch):
+    """Changing the first or the last leaf under any top-level key of any
+    golden file makes some reproduce object fail."""
+    import copy
+    import time
+
+    from tracesos import cert84, checks, golden
+
+    table = checks.REPRODUCIBLES
+    cost = {}
+    for name, row in table.items():
+        start = time.perf_counter()
+        row()
+        cost[name] = time.perf_counter() - start
+    cheapest_first = sorted(table, key=cost.get)
+    load = golden.load
+    for gname in golden.available():
+        original = load(gname)
+        for key in original:
+            paths = list(_leaf_paths(original[key], (key,)))
+            for path in dict.fromkeys((paths[0], paths[-1])):
+                mutated = copy.deepcopy(original)
+                *head, last = path
+                parent = mutated
+                for step in head:
+                    parent = parent[step]
+                leaf = parent[last]
+                parent[last] = leaf + "0" if isinstance(leaf, str) else leaf + 1
+
+                def patched(name, _mutated=mutated, _gname=gname):
+                    return _mutated if name == _gname else load(name)
+
+                monkeypatch.setattr(golden, "load", patched)
+                monkeypatch.setattr(cert84, "load_golden", patched)
+                failed = None
+                for name in cheapest_first:
+                    try:
+                        table[name]()
+                    except checks.GoldenMismatch:
+                        failed = name
+                        break
+                assert failed, f"{gname} {path}: every object still matches"
+
+
+_ENTRY = st.one_of(
+    st.integers(), st.floats(), st.text(max_size=6), st.none(), st.booleans(),
+    st.lists(st.integers(), max_size=2),
+    st.sampled_from(["1/2", "-3", "1/0", "2.5e-3", "1e3", "1e5000", "nan",
+                     "inf", "1_0", " 7 ", "x1"]))
+_ROWS = st.lists(st.lists(_ENTRY, max_size=3), max_size=3)
+_MATRIX = st.one_of(
+    st.fixed_dictionaries({"rows": _ROWS}),
+    st.fixed_dictionaries({"rows": st.one_of(_ROWS, _ENTRY)},
+                          optional={"row_labels": _ENTRY, "col_labels": _ENTRY}),
+    st.lists(_ENTRY, max_size=2), _ENTRY)
+_PARAMS = st.tuples(
+    st.booleans(),
+    st.dictionaries(st.one_of(st.sampled_from([f"x{k}" for k in range(1, 23)]),
+                              st.text(max_size=3)),
+                    _ENTRY, max_size=4))
+
+
+def _fuzz_main(path, text, *argv):
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(argv)) in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_MATRIX)
+def test_matrix_json_raises_only_value_error(tmp_path, matrix):
+    path = tmp_path / "m.json"
+    _fuzz_main(path, json.dumps(matrix), "psd", "--in", str(path))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_PARAMS)
+def test_params_file_raises_only_value_error(tmp_path, params):
+    from tracesos.cert84 import published_params
+
+    start_published, changes = params
+    values = ({f"x{k}": str(v) for k, v in published_params().items()}
+              if start_published else {})
+    values.update(changes)
+    path = tmp_path / "params.json"
+    _fuzz_main(path, json.dumps(values),
+               "cert84", "--n", "2", "--params", str(path))
