@@ -461,11 +461,15 @@ def coefficient_match_equations(n: int) -> ParamSystem:
 
 
 def derive_param_system(n: int) -> ParamSystem:
-    """Re-derive the full parameter constraint system (needs n >= 4)."""
+    """Re-derive the full parameter constraint system (needs n >= 4); a
+    contradiction raises InconsistentSystem naming the derived system."""
     if n < 4:
         raise InvalidDimension(
             f"parameter matching needs n >= 4 (collision classes merge "
             f"below that), got {n}")
-    system = coefficient_match_equations(n)
-    system.rref()  # raises InconsistentSystem on contradiction
+    try:
+        system = coefficient_match_equations(n)
+        system.rref()
+    except InconsistentSystem as exc:
+        raise InconsistentSystem(f"derived system (n={n}): {exc}") from None
     return system

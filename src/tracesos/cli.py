@@ -35,6 +35,16 @@ def _write_out(path, payload: dict) -> None:
         print(text)
 
 
+def _read_json(path: str):
+    """Parse one JSON input file; a decode error, or nesting too deep to
+    parse, is a ValueError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (RecursionError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _budget(args) -> int | None:
     if getattr(args, "big", False):
         return None
@@ -88,22 +98,25 @@ def cmd_audit42(args) -> int:
 
 def cmd_cert84(args) -> int:
     if args.general_a:
-        print("general symmetric A is out of scope for the degree-8 "
-              "certificate; diagonalize A by an orthogonal change of basis "
-              "first (the coefficient polynomial is basis-invariant)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("general symmetric A is out of scope for the degree-8 "
+                         "certificate; diagonalize A by an orthogonal change of "
+                         "basis first (the coefficient polynomial is "
+                         "basis-invariant)")
     if args.params == "published":
         params = None
     elif args.params == "symbolic":
         params = cert84.SYMBOLIC
     else:
-        with open(args.params) as fh:
-            raw = json.load(fh)
+        raw = _read_json(args.params)
         if not isinstance(raw, dict):
             raise ValueError(f"{args.params}: expected a JSON object of "
                              f"x values")
-        params = {int(k.lstrip("x")): read_number(v, f"{args.params}: {k}")
+        index = {f"x{k}": k for k in range(1, cert84.PARAM_COUNT + 1)}
+        for key in raw:
+            if key not in index:
+                raise ValueError(f"{args.params}: {key!r} is not one of "
+                                 f"x1..x{cert84.PARAM_COUNT}")
+        params = {index[k]: read_number(v, f"{args.params}: {k}")
                   for k, v in raw.items()}
     cert = cert84.build_certificate84(args.n, params=params)
     payload = {
@@ -117,7 +130,11 @@ def cmd_cert84(args) -> int:
 
 
 def cmd_paramsys(args) -> int:
-    system = cert84.derive_param_system(args.n)
+    try:
+        system = cert84.derive_param_system(args.n)
+    except cert84.InconsistentSystem as exc:
+        print(exc)
+        return 1
     if args.emit or args.json:
         _write_out(args.emit, system.to_jsonable())
     else:
@@ -127,8 +144,7 @@ def cmd_paramsys(args) -> int:
 
 
 def cmd_psd(args) -> int:
-    with open(args.infile) as fh:
-        mat = psdcert.RationalMatrix.from_jsonable(json.load(fh))
+    mat = psdcert.RationalMatrix.from_jsonable(_read_json(args.infile))
     method = args.method
     if method in ("auto", "charpoly"):
         cert = psdcert.verify_charpoly_signs(mat)
@@ -136,26 +152,19 @@ def cmd_psd(args) -> int:
         try:
             cert = psdcert.verify_ldlt_pd(mat)
         except psdcert.SingularLeadingBlock as exc:
-            print(f"ldlt is for positive-definite input only ({exc}); "
-                  f"use --method auto for singular PSD matrices",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"ldlt is for positive-definite input only "
+                             f"({exc}); use --method auto for singular PSD "
+                             f"matrices") from None
     elif method == "schur":
         if args.split is None:
-            print("--split is required for the schur method", file=sys.stderr)
-            return 2
+            raise ValueError("--split is required for the schur method")
         cert = psdcert.verify_schur(mat, args.split)
-    elif method == "gram":
+    else:
         if not args.factor:
-            print("--factor is required for the gram method", file=sys.stderr)
-            return 2
-        with open(args.factor) as fh:
-            u = psdcert.RationalMatrix.from_jsonable(json.load(fh))
+            raise ValueError("--factor is required for the gram method")
+        u = psdcert.RationalMatrix.from_jsonable(_read_json(args.factor))
         cert = psdcert.verify_gram_factor(mat, u,
                                           read_number(args.scale, "--scale"))
-    else:
-        print(f"unknown method {method}", file=sys.stderr)
-        return 2
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(cert.to_jsonable(), fh, indent=1, sort_keys=True)
@@ -175,9 +184,8 @@ def cmd_sdp_export(args) -> int:
     elif (args.m, args.r) == (8, 4) and args.diagonal_a:
         basis = sdpio.certificate_basis_84(args.n)
     else:
-        print("--basis certificate is only available for (4,2) and "
-              "diagonal-A (8,4)", file=sys.stderr)
-        return 2
+        raise ValueError("--basis certificate is only available for (4,2) "
+                         "and diagonal-A (8,4)")
     prob = sdpio.build_sdp(problem, basis, budget=_budget(args),
                            entry_sum_constraint=args.entry_sum)
     sdpio.export_sdpa(prob, args.out)
@@ -188,9 +196,7 @@ def cmd_sdp_export(args) -> int:
 
 def cmd_sdp_verify(args) -> int:
     prob = sdpio.import_sdpa(args.prob)
-    with open(args.solution) as fh:
-        sol = json.load(fh)
-    report = sdpio.rationalize_and_verify(prob, sol,
+    report = sdpio.rationalize_and_verify(prob, _read_json(args.solution),
                                           denominator_bound=args.den_bound)
     if report.accepted:
         print("accepted: constraints hold exactly and every block is PSD")

@@ -4,7 +4,9 @@ The coefficient of t^r in trace((A+tB)^m) expands into one monomial per
 labeled m-cycle: m vertex letters in {a, b} with exactly r b's, and m edge
 labels in [n].  Vertex t contributes the variable of its letter's matrix
 on the unordered pair of its two incident edge labels (edges[t] sits
-between vertices t and t+1 mod m).
+between vertices t and t+1 mod m).  With a diagonal A only cycles whose
+arcs (the edges from one b-vertex to the next) each carry one label are
+visited, n^r per letter pattern (n for r = 0).
 
 Two independent constructions of the same polynomial are provided: direct
 enumeration of the cycles, and symbolic powering of the n-by-n matrix
@@ -15,9 +17,12 @@ in the test suite; neither is derived from the other.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .poly import Coeff, Monomial, Polynomial, mono_from_vars, mono_mul, var
 
@@ -54,81 +59,45 @@ class TraceProblem:
         return comb(self.m, self.r) * self.n**self.m
 
 
-@dataclass(frozen=True)
-class Necklace:
-    """An m-cycle with vertex letters and edge labels."""
+class Necklace(NamedTuple):
+    """An m-cycle: vertex letters in {a, b} and edge labels in [n]."""
 
     letters: Tuple[str, ...]
     edges: Tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.letters) != len(self.edges):
-            raise ValueError("letters and edges must have equal length")
-        if any(s not in ("a", "b") for s in self.letters):
-            raise ValueError("letters must be 'a' or 'b'")
 
-    def rotate(self, k: int = 1) -> "Necklace":
-        m = len(self.letters)
-        k %= m
-        return Necklace(self.letters[k:] + self.letters[:k],
-                        self.edges[k:] + self.edges[:k])
-
-
-def necklace_monomial(k: Necklace, diagonal_a: bool = False) -> Optional[Monomial]:
-    """The monomial of one cycle, or None when a diagonal-A entry vanishes."""
-    m = len(k.letters)
-    edges = k.edges
-    vs = []
-    for t in range(m):
-        lo, hi = edges[t - 1], edges[t]
-        if diagonal_a and k.letters[t] == "a" and lo != hi:
-            return None
-        vs.append(var(k.letters[t], lo, hi))
-    return mono_from_vars(vs)
+def necklace_monomial(k: Necklace) -> Monomial:
+    """The monomial of one cycle: vertex t contributes the entry of its
+    letter's matrix at its two incident edge labels."""
+    letters, edges = k
+    return mono_from_vars(var(s, edges[t - 1], edges[t])
+                          for t, s in enumerate(letters))
 
 
 def letter_patterns(m: int, r: int) -> List[Tuple[str, ...]]:
-    """All letter arrangements with exactly r b's, lexicographic (a < b)."""
-    patterns = set()
-    for positions in itertools.combinations(range(m), r):
-        word = ["a"] * m
-        for p in positions:
-            word[p] = "b"
-        patterns.add(tuple(word))
-    return sorted(patterns)
+    """All letter arrangements with exactly r b's, lexicographic (a < b),
+    which is the order of their a-positions as combinations."""
+    return [tuple("a" if t in a_positions else "b" for t in range(m))
+            for a_positions in itertools.combinations(range(m), m - r)]
 
 
-def _edge_components(letters: Sequence[str]) -> List[List[int]]:
-    """Group edge positions forced equal when A is diagonal.
-
-    Each a-vertex t welds edges t-1 and t together.  Components are listed
-    by their smallest member, members in increasing order.
-    """
-    m = len(letters)
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for t, s in enumerate(letters):
-        if s == "a":
-            ra, rb = find((t - 1) % m), find(t)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: Dict[int, List[int]] = {}
-    for t in range(m):
-        groups.setdefault(find(t), []).append(t)
-    return [groups[root] for root in sorted(groups)]
+def _edge_arcs(letters: Sequence[str]) -> List[int]:
+    """Arc number of each edge for a diagonal A, by smallest edge.  An
+    a-vertex needs one label on both its edges, so arcs start only at
+    b-vertices; with vertex 0 an a, the edges after the last b-vertex close
+    the cycle into arc 0 (all edges do when r = 0)."""
+    arcs = list(itertools.accumulate(
+        int(s == "b" and t > 0) for t, s in enumerate(letters)))
+    if letters[0] == "a":
+        arcs = [0 if arc == arcs[-1] else arc for arc in arcs]
+    return arcs
 
 
 def planned_visits(p: TraceProblem, skip_zero: bool = False) -> int:
-    """Number of necklaces an enumeration will yield."""
+    """Number of necklaces an enumeration visits: all C(m,r)*n^m, or with
+    ``skip_zero`` and a diagonal A, one label per arc."""
     if skip_zero and p.diagonal_a:
-        return sum(p.n ** len(_edge_components(pat))
-                   for pat in letter_patterns(p.m, p.r))
+        return comb(p.m, p.r) * p.n ** max(p.r, 1)
     return p.necklace_count()
 
 
@@ -137,44 +106,24 @@ def _check_budget(planned: int, budget: Optional[int]) -> None:
         raise BudgetExceeded(planned, budget)
 
 
-def enumerate_necklaces(
-    p: TraceProblem,
-    skip_zero: bool = False,
-    budget: Optional[int] = None,
-) -> Iterator[Necklace]:
-    """Yield each (m, r, n)-necklace exactly once, in deterministic order.
-
-    With ``skip_zero`` and a diagonal A, necklaces whose monomial vanishes
-    are not generated at all; otherwise every one of C(m,r)*n^m cycles is
-    yielded, zero-monomial ones included.
-    """
-    _check_budget(planned_visits(p, skip_zero=skip_zero), budget)
-    patterns = letter_patterns(p.m, p.r)
+def enumerate_necklaces(p: TraceProblem,
+                        budget: Optional[int] = None) -> Iterator[Necklace]:
+    """Yield each (m, r, n)-necklace with a nonzero monomial once: per
+    letter pattern, its arc labels as an odometer (rightmost fastest),
+    every edge its own arc unless A is diagonal."""
+    _check_budget(planned_visits(p, skip_zero=True), budget)
     labels = range(1, p.n + 1)
-    if skip_zero and p.diagonal_a:
-        for pat in patterns:
-            comps = _edge_components(pat)
-            for values in itertools.product(labels, repeat=len(comps)):
-                edges = [0] * p.m
-                for group, val in zip(comps, values):
-                    for t in group:
-                        edges[t] = val
-                yield Necklace(pat, tuple(edges))
-    else:
-        for pat in patterns:
-            for edges in itertools.product(labels, repeat=p.m):
-                yield Necklace(pat, edges)
+    for pat in letter_patterns(p.m, p.r):
+        arcs = _edge_arcs(pat) if p.diagonal_a else range(p.m)
+        edges_of = itemgetter(*arcs)
+        for values in itertools.product(labels, repeat=max(arcs) + 1):
+            yield Necklace(pat, edges_of(values))
 
 
 def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polynomial:
     """Coefficient polynomial by direct necklace enumeration."""
-    acc: Dict[Monomial, Coeff] = {}
-    for k in enumerate_necklaces(p, skip_zero=p.diagonal_a, budget=budget):
-        mono = necklace_monomial(k, diagonal_a=p.diagonal_a)
-        if mono is None:
-            continue
-        acc[mono] = acc.get(mono, 0) + 1
-    return Polynomial(acc)
+    return Polynomial(Counter(map(necklace_monomial,
+                                  enumerate_necklaces(p, budget=budget))))
 
 
 Matrix = List[List[Polynomial]]

@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tracesos.cli import main
 from tracesos.poly import Polynomial
@@ -76,7 +76,11 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
              "zeroden.json": '{"rows": [["1/0"]]}',
              "nullparam.json": '{"x1": null}',
              "zeroparam.json": '{"x1": "1/0"}',
-             "huge.dat-s": "1\n1\n1\n1e2000000\n1 1 1 1 1\n"}
+             "huge.dat-s": "1\n1\n1\n1e2000000\n1 1 1 1 1\n",
+             "deep.json": "[" * 100_000,
+             "singular.json": '{"rows": [[1, 1], [1, 1]]}',
+             **{f"key{key}.json": json.dumps({key: 1})
+                for key in ("x23", "x0", "x-3", "foo", "x01")}}
     path = {"missing.json": str(tmp_path / "missing.json")}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -110,7 +114,27 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
             (("cert84", "--n", "2", "--params", path["zeroparam.json"]),
              "x1: zero denominator"),
             (("sdp-verify", "--prob", path["huge.dat-s"],
-              "--solution", path["sol.json"]), "more than")):
+              "--solution", path["sol.json"]), "more than"),
+            (("psd", "--in", path["deep.json"]), "deep.json: maximum recursion"),
+            (("psd", "--in", path["one.json"], "--method", "gram",
+              "--factor", path["deep.json"]), "deep.json: maximum recursion"),
+            (("cert84", "--n", "2", "--params", path["deep.json"]),
+             "deep.json: maximum recursion"),
+            (("sdp-verify", "--prob", str(prob),
+              "--solution", path["deep.json"]), "deep.json: maximum recursion"),
+            *((("cert84", "--n", "2", "--params", path[f"key{key}.json"]),
+               f"key{key}.json: '{key}' is not one of x1..x22")
+              for key in ("x23", "x0", "x-3", "foo", "x01")),
+            (("cert84", "--n", "3", "--general-a"), "change of basis"),
+            (("psd", "--in", path["singular.json"], "--method", "ldlt"),
+             "ldlt is for positive-definite input only"),
+            (("psd", "--in", path["one.json"], "--method", "schur"),
+             "--split is required"),
+            (("psd", "--in", path["one.json"], "--method", "gram"),
+             "--factor is required"),
+            (("sdp-export", "--m", "6", "--r", "2", "--n", "2", "--basis",
+              "certificate", "--out", str(tmp_path / "x.dat-s")),
+             "--basis certificate is only available")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -277,6 +301,19 @@ def test_wrong_certificate_fails_verification(monkeypatch, capsys):
     assert psd.startswith("FAIL") and "gram n=2: entry (0,0)" in psd, psd
 
 
+def test_wrong_q3_constant_fails_verification(monkeypatch, capsys):
+    from tracesos import cert84, checks
+
+    monkeypatch.setitem(cert84.Q3_TABLE, (5, 5), 9)
+    why = "parameter-free coefficient 1 left at a[1,1]^4*b[1,2]^2*b[2,2]^2"
+    sums = checks.check_entry_sums()
+    assert not sums.ok and f"derived system (n=5): {why}" in sums.detail
+    system = checks.check_param_system()
+    assert not system.ok and system.detail == f"derived system (n=5): {why}"
+    code, out, _ = run(capsys, "paramsys", "--n", "4")
+    assert code == 1 and out == f"derived system (n=4): {why}\n", out
+
+
 def _leaf_paths(obj, path=()):
     if isinstance(obj, dict):
         for key, value in obj.items():
@@ -350,11 +387,22 @@ _PARAMS = st.tuples(
                     _ENTRY, max_size=4))
 
 
+_SOLUTION = st.one_of(
+    st.dictionaries(st.sampled_from(["G", "Q1", ""]),
+                    st.one_of(_ROWS, _ENTRY), max_size=2),
+    _ROWS, _ENTRY)
+
+
 def _fuzz_main(path, text, *argv):
     path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        assert main(list(argv)) in (0, 1, 2)
+            contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -378,3 +426,20 @@ def test_params_file_raises_only_value_error(tmp_path, params):
     path = tmp_path / "params.json"
     _fuzz_main(path, json.dumps(values),
                "cert84", "--n", "2", "--params", str(path))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_SOLUTION.map(json.dumps))
+@example(text="[" * 10_000 + "]" * 10_000)
+def test_solution_json_raises_only_value_error(tmp_path, text):
+    from tracesos.necklace import TraceProblem
+    from tracesos.sdpio import auto_basis, build_sdp, export_sdpa
+
+    prob = tmp_path / "prob.dat-s"
+    if not prob.exists():
+        p = TraceProblem(4, 0, 1)
+        export_sdpa(build_sdp(p, auto_basis(p)), str(prob))
+    _fuzz_main(tmp_path / "sol.json", text,
+               "sdp-verify", "--prob", str(prob), "--solution",
+               str(tmp_path / "sol.json"))
