@@ -71,6 +71,9 @@ def _resolve_params(params) -> Optional[Dict[int, Fraction]]:
     if params == SYMBOLIC:
         return None
     vals = {int(k): Fraction(v) for k, v in dict(params).items()}
+    unknown = ", ".join(f"x{k}" for k in vals if not 1 <= k <= PARAM_COUNT)
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown}: expected x1..x{PARAM_COUNT}")
     missing = [k for k in range(1, PARAM_COUNT + 1) if k not in vals]
     if missing:
         raise ValueError(f"missing parameter values for x{missing}")

@@ -4,9 +4,10 @@ The coefficient of t^r in trace((A+tB)^m) expands into one monomial per
 labeled m-cycle: m vertex letters in {a, b} with exactly r b's, and m edge
 labels in [n].  Vertex t contributes the variable of its letter's matrix
 on the unordered pair of its two incident edge labels (edges[t] sits
-between vertices t and t+1 mod m).  With a diagonal A only cycles whose
-arcs (the edges from one b-vertex to the next) each carry one label are
-visited, n^r per letter pattern (n for r = 0).
+between vertices t and t+1 mod m).  Rotating letters and edges together
+fixes the monomial, so one letter pattern per rotation class is visited,
+weighted by its size.  With a diagonal A only cycles whose arcs (edges
+from one b-vertex to the next) carry one label each are visited.
 
 Two independent constructions of the same polynomial are provided: direct
 enumeration of the cycles, and symbolic powering of the n-by-n matrix
@@ -93,12 +94,18 @@ def _edge_arcs(letters: Sequence[str]) -> List[int]:
     return arcs
 
 
+def rotation_classes(m: int, r: int) -> List[Tuple[Tuple[str, ...], int]]:
+    """One letter pattern per rotation class, the lexicographically first,
+    with the number of patterns in its class."""
+    return list(Counter(min(pat[k:] + pat[:k] for k in range(m))
+                        for pat in letter_patterns(m, r)).items())
+
+
 def planned_visits(p: TraceProblem, skip_zero: bool = False) -> int:
-    """Number of necklaces an enumeration visits: all C(m,r)*n^m, or with
+    """Cycles the necklace oracle visits: n^m per rotation class, or with
     ``skip_zero`` and a diagonal A, one label per arc."""
-    if skip_zero and p.diagonal_a:
-        return comb(p.m, p.r) * p.n ** max(p.r, 1)
-    return p.necklace_count()
+    arcs = max(p.r, 1) if skip_zero and p.diagonal_a else p.m
+    return len(rotation_classes(p.m, p.r)) * p.n ** arcs
 
 
 def _check_budget(planned: int, budget: Optional[int]) -> None:
@@ -111,7 +118,8 @@ def enumerate_necklaces(p: TraceProblem,
     """Yield each (m, r, n)-necklace with a nonzero monomial once: per
     letter pattern, its arc labels as an odometer (rightmost fastest),
     every edge its own arc unless A is diagonal."""
-    _check_budget(planned_visits(p, skip_zero=True), budget)
+    per_pattern = p.n ** (max(p.r, 1) if p.diagonal_a else p.m)
+    _check_budget(comb(p.m, p.r) * per_pattern, budget)
     labels = range(1, p.n + 1)
     for pat in letter_patterns(p.m, p.r):
         arcs = _edge_arcs(pat) if p.diagonal_a else range(p.m)
@@ -121,9 +129,21 @@ def enumerate_necklaces(p: TraceProblem,
 
 
 def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polynomial:
-    """Coefficient polynomial by direct necklace enumeration."""
-    return Polynomial(Counter(map(necklace_monomial,
-                                  enumerate_necklaces(p, budget=budget))))
+    """Coefficient polynomial by necklace enumeration: per rotation class,
+    count the sorted tuple of each visit's shared variables by the class
+    size, then build one monomial per distinct tuple."""
+    _check_budget(planned_visits(p, skip_zero=True), budget)
+    labels = range(p.n)
+    table = {s: [[var(s, i + 1, j + 1) for j in labels] for i in labels]
+             for s in "ab"}
+    counts: Counter = Counter()
+    for rep, weight in rotation_classes(p.m, p.r):
+        arcs = _edge_arcs(rep) if p.diagonal_a else range(p.m)
+        ends = [(table[s], arcs[t - 1], arcs[t]) for t, s in enumerate(rep)]
+        for values in itertools.product(labels, repeat=max(arcs) + 1):
+            counts[tuple(sorted([row[values[i]][values[j]]
+                                 for row, i, j in ends]))] += weight
+    return Polynomial({mono_from_vars(key): c for key, c in counts.items()})
 
 
 Matrix = List[List[Polynomial]]

@@ -331,6 +331,8 @@ def schur_complement(q: RationalMatrix, split: int) -> RationalMatrix:
     """S - R^T P^(-1) R for q = [[P, R], [R^T, S]] split after `split` rows."""
     q.require_symmetric()
     d = q.size
+    if d < 2:
+        raise ValueError(f"a {d}x{d} matrix has no Schur split")
     if not 0 < split < d:
         raise ValueError(f"split must be in 1..{d - 1}")
     idx_p = list(range(split))

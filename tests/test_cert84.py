@@ -209,6 +209,11 @@ def test_matching_conditions_follow_from_system_for_all_n():
         assert coefficient_match_equations(n).equivalent(full), n
 
 
+def test_unknown_param_keys_rejected():
+    with pytest.raises(ValueError, match="unknown parameters x0, x23"):
+        build_certificate84(2, params={**published_params(), 0: 7, 23: 5})
+
+
 def test_negative_parameter_values_rejected():
     vals = published_params()
     vals[5] = -1

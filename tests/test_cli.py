@@ -130,6 +130,8 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
              "ldlt is for positive-definite input only"),
             (("psd", "--in", path["one.json"], "--method", "schur"),
              "--split is required"),
+            (("psd", "--in", path["one.json"], "--method", "schur",
+              "--split", "1"), "a 1x1 matrix has no Schur split"),
             (("psd", "--in", path["one.json"], "--method", "gram"),
              "--factor is required"),
             (("sdp-export", "--m", "6", "--r", "2", "--n", "2", "--basis",
@@ -149,6 +151,11 @@ def test_coeff_budget(capsys):
                        "--budget", "100")
     assert code == 2
     assert "budget" in err
+    # one letter pattern per rotation class: 10 classes * 9^4 arc labelings
+    code, _, err = run(capsys, "coeff", "--m", "8", "--r", "4", "--n", "9",
+                       "--diagonal-a", "--budget", "1000")
+    assert code == 2
+    assert err == "error: enumeration needs 65610 visits, budget is 1000\n"
 
 
 def test_bad_arguments(capsys):

@@ -1,3 +1,6 @@
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from tracesos.necklace import (
     letter_patterns,
     necklace_monomial,
     planned_visits,
+    rotation_classes,
     trace_coeff_matrix,
     trace_coeff_necklace,
     word_trace,
@@ -86,8 +90,29 @@ def test_diagonal_count_conservation():
         p = TraceProblem(m, r, n, diagonal_a=True)
         diag = list(enumerate_necklaces(p))
         assert len(full) == p.necklace_count()
-        assert len(diag) == len(set(diag)) == planned_visits(p, skip_zero=True)
+        assert len(diag) == len(set(diag)) == comb(m, r) * n ** max(r, 1)
         assert set(diag) == live, (m, r, n)
+
+
+def test_rotation_classes():
+    for m in range(1, 13):
+        for r in range(m + 1):
+            assert sum(w for _, w in rotation_classes(m, r)) == comb(m, r)
+    assert sorted(w for _, w in rotation_classes(8, 4)) == [2, 4] + [8] * 8
+    assert planned_visits(TraceProblem(8, 4, 9, diagonal_a=True),
+                          skip_zero=True) == 10 * 9**4
+    assert planned_visits(TraceProblem(8, 4, 2)) == 10 * 2**8
+
+
+def test_oracle_matches_its_definition():
+    # the rotation-class sum equals the plain sum over every cycle
+    grid = [TraceProblem(m, r, n, diagonal_a=diag)
+            for m in (2, 4, 6, 8) for r in sorted({0, 2, m - 2, m})
+            for n in (1, 2, 3) for diag in (False, True)]
+    for p in grid + [TraceProblem(8, 4, 5, diagonal_a=True)]:
+        want = Polynomial(Counter(map(necklace_monomial,
+                                      enumerate_necklaces(p))))
+        assert trace_coeff_necklace(p) == want, p
 
 
 def test_trace_coeff_scalar_case():
