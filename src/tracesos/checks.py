@@ -257,13 +257,12 @@ def check_psd_suite() -> CheckResult:
 
 def q3_psd_report(n: int) -> str:
     """Informational: PSD status of the degree-8 Q3 beyond the proven range."""
-    cert = psdcert.verify_charpoly_signs(
-        cert84.build_certificate84(n).q3_matrix())
+    cert = psdcert.verify_ldlt(cert84.build_certificate84(n).q3_matrix())
     if cert.psd:
         return f"Q3(n={n}) with published values: PSD, nullity {cert.nullity}"
-    k = cert.witness["violating_k"]
-    return (f"Q3(n={n}) with published values: NOT PSD "
-            f"(e_{k} = {cert.witness['violating_e']} < 0); unproven range")
+    return (f"Q3(n={n}) with published values: NOT PSD (vᵀQv = "
+            f"{cert.witness['value']} < 0 at index {cert.witness['index']}); "
+            f"unproven range")
 
 
 def check_square_formula() -> CheckResult:

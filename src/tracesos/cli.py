@@ -145,17 +145,11 @@ def cmd_paramsys(args) -> int:
 
 def cmd_psd(args) -> int:
     mat = psdcert.RationalMatrix.from_jsonable(_read_json(args.infile))
-    method = args.method
-    if method in ("auto", "charpoly"):
+    if args.method in ("auto", "ldlt"):
+        cert = psdcert.verify_ldlt(mat)
+    elif args.method == "charpoly":
         cert = psdcert.verify_charpoly_signs(mat)
-    elif method == "ldlt":
-        try:
-            cert = psdcert.verify_ldlt_pd(mat)
-        except psdcert.SingularLeadingBlock as exc:
-            raise ValueError(f"ldlt is for positive-definite input only "
-                             f"({exc}); use --method auto for singular PSD "
-                             f"matrices") from None
-    elif method == "schur":
+    elif args.method == "schur":
         if args.split is None:
             raise ValueError("--split is required for the schur method")
         cert = psdcert.verify_schur(mat, args.split)

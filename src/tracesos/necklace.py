@@ -59,6 +59,13 @@ class TraceProblem:
     def necklace_count(self) -> int:
         return comb(self.m, self.r) * self.n**self.m
 
+    def cycle_count(self) -> int:
+        """Cycles with a nonzero monomial: per letter pattern, one label per
+        edge, or per arc for a diagonal A.  The matrix oracle's polynomial
+        term products grow with it too, so it budgets both oracles."""
+        return comb(self.m, self.r) * self.n ** (
+            max(self.r, 1) if self.diagonal_a else self.m)
+
 
 class Necklace(NamedTuple):
     """An m-cycle: vertex letters in {a, b} and edge labels in [n]."""
@@ -118,8 +125,7 @@ def enumerate_necklaces(p: TraceProblem,
     """Yield each (m, r, n)-necklace with a nonzero monomial once: per
     letter pattern, its arc labels as an odometer (rightmost fastest),
     every edge its own arc unless A is diagonal."""
-    per_pattern = p.n ** (max(p.r, 1) if p.diagonal_a else p.m)
-    _check_budget(comb(p.m, p.r) * per_pattern, budget)
+    _check_budget(p.cycle_count(), budget)
     labels = range(1, p.n + 1)
     for pat in letter_patterns(p.m, p.r):
         arcs = _edge_arcs(pat) if p.diagonal_a else range(p.m)
@@ -170,7 +176,7 @@ def trace_coeff_matrix(p: TraceProblem, budget: Optional[int] = None) -> Polynom
     sum_s trace(H[s]*H[r-s]), the t^r part of trace(H*H).  Independent
     of the necklace route.
     """
-    _check_budget(p.necklace_count(), budget)
+    _check_budget(p.cycle_count(), budget)
     n, r = p.n, p.r
     a_mat = _symbolic_matrix(n, "a", p.diagonal_a)
     b_mat = _symbolic_matrix(n, "b", False)

@@ -3,14 +3,15 @@
 Every verifier here works in exact arithmetic and returns a replayable
 certificate: the witness data is sufficient to re-run the check and
 reach the same verdict.  No floating-point eigensolver sits anywhere in
-the trust path; the characteristic polynomial is computed with the
-division-free Berkowitz scheme, so integer matrices stay in integers.
+the trust path.
 
-A symmetric matrix is positive semidefinite iff every signed
-characteristic coefficient e_k (the sum of its k-by-k principal minors)
-is nonnegative; that is the general-purpose test.  The structured routes
-(Gram factor, Kronecker product, Schur complement, LDL^T pivots) certify
-the special shapes arising from the certificate constructions.
+The general test is verify_ldlt, O(d^3) symmetric elimination whose
+non-PSD verdict keeps a vector v with v^T Q v < 0.  The structured
+routes (Gram factor, Kronecker product, Schur complement, principal
+submatrix) certify the shapes the certificate constructions produce.
+The O(d^4) Berkowitz characteristic polynomial and its sign test (PSD
+iff every e_k, the sum of the k-by-k principal minors, is >= 0) are kept
+for the published polynomial of Q3 and as an opt-in method.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .poly import read_number
 
@@ -288,8 +289,8 @@ def verify_tensor_psd(q: RationalMatrix, left: RationalMatrix,
         raise NotAKroneckerProduct(
             f"target is not the Kronecker product of the given "
             f"{left.shape} and {right.shape} factors")
-    lc = verify_charpoly_signs(left)
-    rc = verify_charpoly_signs(right)
+    lc = verify_ldlt(left)
+    rc = verify_ldlt(right)
     return PsdCertificate(
         method="tensor_product", psd=lc.psd and rc.psd,
         matrix_hash=q.content_hash(),
@@ -297,92 +298,75 @@ def verify_tensor_psd(q: RationalMatrix, left: RationalMatrix,
                  "left_cert": lc.to_jsonable(), "right_cert": rc.to_jsonable()})
 
 
-def ldlt_pivots(q: RationalMatrix) -> List[Fraction]:
-    """Pivots of the unpivoted LDL^T elimination; fails fast on a zero pivot."""
+def verify_ldlt(q: RationalMatrix) -> PsdCertificate:
+    """Decide PSD by symmetric elimination in index order.  A positive
+    diagonal entry is a pivot; a zero one whose remaining row is zero is
+    skipped (in a PSD matrix it must be).  A negative one, or a zero one
+    with a nonzero entry (k, j), gives w with w^T S w < 0 on the reduced
+    matrix S; back-substituting through the stored pivot rows lifts it to
+    v with v^T Q v = w^T S w.  A PSD verdict keeps pivots and rank."""
     q.require_symmetric()
     d = q.size
-    a = [list(row) for row in q.rows]
+    a = [list(row) for row in q.rows]  # upper triangle is kept reduced
     pivots = []
     for k in range(d):
         piv = a[k][k]
-        if piv == 0:
-            raise SingularLeadingBlock(f"zero pivot at step {k}")
+        if piv > 0:
+            for i in range(k + 1, d):
+                f = a[k][i] / piv
+                if f:
+                    a[i][i:] = [x - f * y for x, y in zip(a[i][i:], a[k][i:])]
+        elif piv < 0 or any(a[k][k + 1:]):
+            w = [Fraction(0)] * d
+            if piv < 0:
+                w[k], value = Fraction(1), piv
+            else:
+                j = next(j for j in range(k + 1, d) if a[k][j])
+                b, c = a[k][j], a[j][j]
+                w[k], w[j] = -c - 1, 2 * b  # w^T S w = 2b w_k w_j + c w_j^2
+                value = -4 * b * b
+            for p in reversed(range(k)):
+                if pivots[p]:
+                    w[p] = -sum(a[p][j] * w[j] for j in range(p + 1, d)) / a[p][p]
+            return PsdCertificate(
+                method="ldlt", psd=False, matrix_hash=q.content_hash(),
+                witness={"index": k, "vector": [str(x) for x in w],
+                         "value": str(value)})
         pivots.append(piv)
-        for i in range(k + 1, d):
-            f = a[i][k] / piv
-            if f == 0:
-                continue
-            for j in range(k, d):
-                a[i][j] -= f * a[k][j]
-    return pivots
-
-
-def verify_ldlt_pd(q: RationalMatrix) -> PsdCertificate:
-    """Certify positive definiteness by all-positive LDL^T pivots."""
-    pivots = ldlt_pivots(q)
-    psd = all(p > 0 for p in pivots)
-    return PsdCertificate(method="ldlt", psd=psd,
-                          matrix_hash=q.content_hash(),
-                          witness={"pivots": [str(p) for p in pivots]},
-                          nullity=0 if psd else None)
+    rank = d - pivots.count(0)
+    witness = {"pivots": [str(p) for p in pivots], "rank": rank}
+    return PsdCertificate(method="ldlt", psd=True, matrix_hash=q.content_hash(),
+                          witness=witness, nullity=d - rank)
 
 
 def schur_complement(q: RationalMatrix, split: int) -> RationalMatrix:
-    """S - R^T P^(-1) R for q = [[P, R], [R^T, S]] split after `split` rows."""
+    """S - R^T P^(-1) R for q = [[P, R], [R^T, S]] split after `split` rows,
+    by eliminating the first `split` columns with pivots from P's rows."""
     q.require_symmetric()
     d = q.size
     if d < 2:
         raise ValueError(f"a {d}x{d} matrix has no Schur split")
     if not 0 < split < d:
         raise ValueError(f"split must be in 1..{d - 1}")
-    idx_p = list(range(split))
-    idx_s = list(range(split, d))
-    p_rows = [[q[i][j] for j in idx_p] for i in idx_p]
-    r_rows = [[q[i][j] for j in idx_s] for i in idx_p]
-    # Solve P X = R by exact Gaussian elimination with partial pivot search.
-    npv = split
-    aug = [p_rows[i] + r_rows[i] for i in range(npv)]
-    width = len(aug[0])
-    for k in range(npv):
-        piv_row = next((i for i in range(k, npv) if aug[i][k] != 0), None)
+    a = [list(row) for row in q.rows]
+    for k in range(split):
+        piv_row = next((i for i in range(k, split) if a[i][k] != 0), None)
         if piv_row is None:
             raise SingularLeadingBlock(f"leading block singular at column {k}")
-        if piv_row != k:
-            aug[k], aug[piv_row] = aug[piv_row], aug[k]
-        piv = aug[k][k]
-        for i in range(npv):
-            if i == k or aug[i][k] == 0:
-                continue
-            f = aug[i][k] / piv
-            for j in range(k, width):
-                aug[i][j] -= f * aug[k][j]
-    x = [[aug[i][split + j] / aug[i][i] for j in range(d - split)]
-         for i in range(npv)]
-    comp = []
-    for u in range(d - split):
-        row = []
-        for v in range(d - split):
-            acc = q[split + u][split + v]
-            for k in range(npv):
-                acc -= q[split + u][k] * x[k][v]
-            row.append(acc)
-        comp.append(row)
-    return RationalMatrix(comp)
+        a[k], a[piv_row] = a[piv_row], a[k]
+        for i in range(k + 1, d):
+            f = a[i][k] / a[k][k]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return RationalMatrix([row[split:] for row in a[split:]])
 
 
 def verify_schur(q: RationalMatrix, split: int) -> PsdCertificate:
-    """Certify PSD via a positive-definite leading block and PSD complement."""
+    """Certify PSD via a positive-definite leading block and PSD complement
+    (the block is invertible once the complement exists, so PSD means PD)."""
     comp = schur_complement(q, split)
-    p_block = q.submatrix(list(range(split)))
-    try:
-        pd_cert = verify_ldlt_pd(p_block)
-    except SingularLeadingBlock:
-        # invertible (the complement exists) but a zero unpivoted pivot
-        # appeared, which a positive-definite block can never produce
-        pd_cert = PsdCertificate(method="ldlt", psd=False,
-                                 matrix_hash=p_block.content_hash(),
-                                 witness={"pivots": [], "zero_pivot": True})
-    comp_cert = verify_charpoly_signs(comp)
+    pd_cert = verify_ldlt(q.submatrix(list(range(split))))
+    comp_cert = verify_ldlt(comp)
     psd = pd_cert.psd and comp_cert.psd
     nullity = comp_cert.nullity if psd else None
     return PsdCertificate(
@@ -405,7 +389,7 @@ def verify_submatrix_psd(q: RationalMatrix, keep: Sequence[int],
         diff = next((i, j) for i in range(sub.size) for j in range(sub.size)
                     if sub[i][j] != expected[i][j])
         raise SubmatrixMismatch(f"submatrix differs from expected at {diff}")
-    inner = verify_charpoly_signs(sub)
+    inner = verify_ldlt(sub)
     return PsdCertificate(
         method="submatrix", psd=inner.psd, matrix_hash=q.content_hash(),
         witness={"keep": keep, "inner_cert": inner.to_jsonable()},
@@ -427,8 +411,19 @@ def replay(cert: PsdCertificate, q: RationalMatrix) -> PsdCertificate:
         return verify_schur(q, w["split"])
     if cert.method == "charpoly_signs":
         return verify_charpoly_signs(q)
-    if cert.method == "ldlt":
-        return verify_ldlt_pd(q)
+    if cert.method == "ldlt" and cert.psd:
+        return verify_ldlt(q)
+    if cert.method == "ldlt":  # recompute v^T Q v; do not re-decide
+        q.require_symmetric()
+        v = [read_number(x, "witness vector entry") for x in w["vector"]]
+        if len(v) != q.size:
+            raise ValueError(f"witness vector has {len(v)} entries, not {q.size}")
+        value = sum(v[i] * sum(x * y for x, y in zip(q[i], v))
+                    for i in range(q.size))
+        if value != read_number(w["value"], "witness value") or value >= 0:
+            raise ValueError(f"witness gives v^T Q v = {value}, certificate "
+                             f"says {w['value']} < 0")
+        return cert
     if cert.method == "submatrix":
         return verify_submatrix_psd(q, w["keep"])
     raise ValueError(f"unknown certificate method {cert.method!r}")

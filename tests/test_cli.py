@@ -1,6 +1,11 @@
 import contextlib
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -126,8 +131,6 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
                f"key{key}.json: '{key}' is not one of x1..x22")
               for key in ("x23", "x0", "x-3", "foo", "x01")),
             (("cert84", "--n", "3", "--general-a"), "change of basis"),
-            (("psd", "--in", path["singular.json"], "--method", "ldlt"),
-             "ldlt is for positive-definite input only"),
             (("psd", "--in", path["one.json"], "--method", "schur"),
              "--split is required"),
             (("psd", "--in", path["one.json"], "--method", "schur",
@@ -144,6 +147,10 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
     code, out, _ = run(capsys, "sdp-verify", "--prob", str(prob),
                        "--solution", path["sol.json"])
     assert code == 0 and "accepted" in out
+    # a singular matrix is a verdict for ldlt, not an input error
+    code, out, _ = run(capsys, "psd", "--in", path["singular.json"],
+                       "--method", "ldlt")
+    assert code == 0 and out == "PSD via ldlt, nullity 1\n"
 
 
 def test_coeff_budget(capsys):
@@ -156,6 +163,34 @@ def test_coeff_budget(capsys):
                        "--diagonal-a", "--budget", "1000")
     assert code == 2
     assert err == "error: enumeration needs 65610 visits, budget is 1000\n"
+    # the matrix oracle counts every cycle: 70 patterns * 9^4 arc labelings
+    code, _, err = run(capsys, "coeff", "--m", "8", "--r", "4", "--n", "9",
+                       "--diagonal-a", "--oracle", "matrix", "--budget", "1000")
+    assert code == 2
+    assert err == "error: enumeration needs 459270 visits, budget is 1000\n"
+
+
+def test_matrix_oracle_runs_under_the_default_budget(capsys):
+    code, out, _ = run(capsys, "coeff", "--m", "8", "--r", "4", "--n", "7",
+                       "--diagonal-a", "--oracle", "matrix")
+    assert code == 0 and len(json.loads(out)["terms"]) == 7252
+    # a general A has 70 * 6^8 cycles, over the default budget of 1e8
+    code, _, err = run(capsys, "coeff", "--m", "8", "--r", "4", "--n", "6",
+                       "--oracle", "matrix")
+    assert code == 2
+    assert err == "error: enumeration needs 117573120 visits, budget is 100000000\n"
+
+
+def test_python_m_tracesos(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "tracesos", "reproduce",
+                           "Q1-n1"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "OK   Q1-n1: Q1(n=1) = [6]\n"
+    importlib.import_module("tracesos.__main__")  # importing runs nothing
 
 
 def test_bad_arguments(capsys):
@@ -182,7 +217,9 @@ def test_cert84_emit_then_psd(tmp_path, capsys):
     code, _, _ = run(capsys, "cert84", "--n", "3", "--emit", str(path))
     assert code == 0
     code, out, _ = run(capsys, "psd", "--in", str(path))
-    assert code == 0 and "PSD via charpoly_signs" in out
+    assert code == 0 and out == "PSD via ldlt, nullity 2\n"
+    code, out, _ = run(capsys, "psd", "--in", str(path), "--method", "charpoly")
+    assert code == 0 and out == "PSD via charpoly_signs, nullity 2\n"
     cert_path = tmp_path / "cert.json"
     code, out, _ = run(capsys, "psd", "--in", str(path), "--method", "schur",
                        "--split", "2", "--out", str(cert_path))

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tracesos import golden
 from tracesos.cert42 import build_certificate42, q2_kron_factors
@@ -16,12 +17,11 @@ from tracesos.psdcert import (
     SingularLeadingBlock,
     SubmatrixMismatch,
     charpoly,
-    ldlt_pivots,
     replay,
     schur_complement,
     verify_charpoly_signs,
     verify_gram_factor,
-    verify_ldlt_pd,
+    verify_ldlt,
     verify_schur,
     verify_submatrix_psd,
     verify_tensor_psd,
@@ -156,12 +156,23 @@ def test_schur_invertible_but_not_pd_leading_block():
 
 
 def test_ldlt():
-    pivots = ldlt_pivots(RationalMatrix([[4, 2], [2, 2]]))
-    assert pivots == [4, 1]
-    assert verify_ldlt_pd(RationalMatrix([[4, 2], [2, 2]])).psd
-    assert not verify_ldlt_pd(RationalMatrix([[1, 3], [3, 1]])).psd
-    with pytest.raises(SingularLeadingBlock):
-        ldlt_pivots(RationalMatrix([[0, 1], [1, 0]]))
+    pd = verify_ldlt(RationalMatrix([[4, 2], [2, 2]]))
+    assert pd.psd and pd.nullity == 0
+    assert pd.witness == {"pivots": ["4", "1"], "rank": 2}
+    # a zero diagonal entry with a zero row is skipped, not a failure
+    singular = verify_ldlt(RationalMatrix([[0, 0, 0], [0, 1, 1], [0, 1, 1]]))
+    assert singular.psd and singular.nullity == 2
+    assert singular.witness == {"pivots": ["0", "1", "0"], "rank": 1}
+    # a negative reduced pivot: v = (-3, 1) gives 9 - 18 + 1 = -8
+    neg = verify_ldlt(RationalMatrix([[1, 3], [3, 1]]))
+    assert not neg.psd and neg.nullity is None
+    assert neg.witness == {"index": 1, "vector": ["-3", "1"], "value": "-8"}
+    # a zero diagonal entry with a nonzero row: two basis vectors
+    zero = verify_ldlt(RationalMatrix([[0, 1], [1, 0]]))
+    assert not zero.psd and zero.witness["index"] == 0
+    assert zero.witness["value"] == "-4"
+    assert quadratic_value(RationalMatrix([[0, 1], [1, 0]]),
+                           zero.witness["vector"]) == -4
 
 
 def test_submatrix_certificates():
@@ -209,6 +220,10 @@ def test_witness_replay_is_bit_identical():
     q3 = build_certificate84(3).q3_matrix()
     cases.append((verify_charpoly_signs(q3), q3))
     cases.append((verify_submatrix_psd(q3, [0, 1, 2]), q3))
+    cases.append((verify_ldlt(q3), q3))
+    q3_6 = build_certificate84(6).q3_matrix()
+    cases.append((verify_ldlt(q3_6), q3_6))
+    assert [cert.psd for cert, _ in cases[-2:]] == [True, False]
     for cert, matrix in cases:
         blob = json.dumps(cert.to_jsonable(), sort_keys=True)
         revived = PsdCertificate.from_jsonable(json.loads(blob))
@@ -216,3 +231,133 @@ def test_witness_replay_is_bit_identical():
         assert json.dumps(again.to_jsonable(), sort_keys=True) == blob
     with pytest.raises(ValueError):
         replay(cases[0][0], RationalMatrix([[1]]))
+
+
+def quadratic_value(q, vector):
+    """v^T Q v as the double sum over all entries, apart from psdcert."""
+    v = [Fraction(x) for x in vector]
+    return sum(q[i][j] * v[i] * v[j]
+               for i in range(len(v)) for j in range(len(v)))
+
+
+def test_ldlt_replay_rejects_a_tampered_witness():
+    q = build_certificate84(6).q3_matrix()
+    cert = verify_ldlt(q)
+    assert cert.witness["index"] == 16
+    assert cert.witness["value"] == "-636602/8570187"
+    assert quadratic_value(q, cert.witness["vector"]) == Fraction(-636602, 8570187)
+    blob = json.dumps(cert.to_jsonable())
+
+    def tampered(edit):
+        obj = json.loads(blob)
+        edit(obj["witness"])
+        return PsdCertificate.from_jsonable(obj)
+
+    k = cert.witness["index"]
+    for edit in (lambda w: w["vector"].__setitem__(k, "2"),
+                 lambda w: w["vector"].pop(),
+                 lambda w: w["vector"].__setitem__(0, "x"),
+                 lambda w: w.__setitem__("value", "-1"),
+                 lambda w: w.__setitem__("vector", ["0"] * q.size),
+                 lambda w: w.__setitem__("value", "1")):
+        with pytest.raises(ValueError):
+            replay(tampered(edit), q)
+    # the untouched certificate replays to itself
+    assert replay(tampered(lambda w: None), q).to_jsonable() == cert.to_jsonable()
+    # a negative value that is stated for a PSD matrix cannot be replayed
+    psd_q = build_certificate84(3).q3_matrix()
+    forged = PsdCertificate(method="ldlt", psd=False,
+                            matrix_hash=psd_q.content_hash(),
+                            witness={"index": 0, "value": "-1",
+                                     "vector": ["1"] + ["0"] * (psd_q.size - 1)})
+    with pytest.raises(ValueError):
+        replay(forged, psd_q)
+    # verify_ldlt never issues a verdict for a non-symmetric matrix
+    skew = RationalMatrix([[-1, 1], [0, 1]])
+    forged = PsdCertificate(method="ldlt", psd=False,
+                            matrix_hash=skew.content_hash(),
+                            witness={"index": 0, "value": "-1",
+                                     "vector": ["1", "0"]})
+    with pytest.raises(ValueError, match="not symmetric"):
+        replay(forged, skew)
+
+
+def assert_ldlt_agrees_with_charpoly(q):
+    got = verify_ldlt(q)
+    want = verify_charpoly_signs(q)
+    assert (got.psd, got.nullity) == (want.psd, want.nullity)
+    if got.psd:
+        assert got.witness["rank"] == q.size - got.nullity
+    else:
+        value = quadratic_value(q, got.witness["vector"])
+        assert value < 0 and str(value) == got.witness["value"]
+        assert replay(got, q) is got
+
+
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices with d <= 7: random ones, Gram products
+    B^T B (rank deficient when B has fewer rows), with a zeroed row and
+    column, a negative diagonal entry, or a zero diagonal entry with a
+    nonzero row."""
+    d = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("random", "gram", "zero_row",
+                                 "negative_diagonal", "zero_diagonal")))
+    if kind == "random":
+        flat = draw(st.lists(SMALL, min_size=d * d, max_size=d * d))
+        rows = [[flat[min(i, j) * d + max(i, j)] for j in range(d)]
+                for i in range(d)]
+    else:
+        k = draw(st.integers(0, d))
+        b = RationalMatrix(draw(st.lists(
+            st.lists(SMALL, min_size=d, max_size=d), min_size=k, max_size=k))
+            or [[0] * d])
+        rows = [list(row) for row in b.transpose().matmul(b).rows]
+    i = draw(st.integers(0, d - 1))
+    if kind == "zero_row":
+        for j in range(d):
+            rows[i][j] = rows[j][i] = Fraction(0)
+    elif kind == "negative_diagonal":
+        rows[i][i] = -draw(st.fractions(min_value=Fraction(1, 3),
+                                        max_value=4, max_denominator=3))
+    elif kind == "zero_diagonal" and d > 1:
+        j = draw(st.integers(0, d - 2))
+        j += j >= i
+        rows[i][i] = Fraction(0)
+        rows[i][j] = rows[j][i] = draw(SMALL.filter(bool))
+    return RationalMatrix(rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_matrices())
+def test_ldlt_agrees_with_charpoly_signs(q):
+    assert_ldlt_agrees_with_charpoly(q)
+
+
+def test_ldlt_agrees_with_charpoly_on_q3():
+    for n in range(2, 8):
+        assert_ldlt_agrees_with_charpoly(build_certificate84(n).q3_matrix())
+
+
+def test_ldlt_agrees_on_the_psd_suite_matrices():
+    # every matrix check_psd_suite certifies, and the parts it splits off
+    mats = []
+    for n in range(1, 9):
+        cert = build_certificate42(n)
+        mats.append(cert.q1)
+        if n >= 2:
+            mats += [cert.q2, *q2_kron_factors(n)]
+    for n in range(2, 7):
+        q2 = build_q2_84(n)
+        split = n * (n - 1)
+        mats += [q2, q2.submatrix(list(range(split))),
+                 schur_complement(q2, split)]
+    q3 = build_certificate84(5).q3_matrix()
+    mats += [q3] + [q3.submatrix(z3_restriction_indices(5, n_sub))
+                    for n_sub in (2, 3, 4)]
+    for q in mats:
+        assert_ldlt_agrees_with_charpoly(q)
