@@ -11,13 +11,16 @@ routes (Gram factor, Kronecker product, Schur complement, principal
 submatrix) certify the shapes the certificate constructions produce.
 The O(d^4) Berkowitz characteristic polynomial and its sign test (PSD
 iff every e_k, the sum of the k-by-k principal minors, is >= 0) are kept
-for the published polynomial of Q3 and as an opt-in method.
+for the published polynomial of Q3, the SDP round-then-verify path and
+as an opt-in method.  Berkowitz clears denominators once and runs on
+Python ints; only the d + 1 output coefficients are Fractions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -182,34 +185,31 @@ class RationalMatrix:
 def charpoly(q: RationalMatrix) -> List[Fraction]:
     """Coefficients of det(xI - Q), highest power first.
 
-    Division-free Berkowitz recursion on the leading principal
-    submatrices; exact for any rational entries, and integer all the way
-    through for integer matrices.
+    Clears denominators once (M = L*Q, L the lcm of the entry
+    denominators), runs the division-free Berkowitz recursion on the
+    leading principal submatrices of M in Python ints, and returns
+    c_k / L^k for each coefficient c_k of det(xI - M).
     """
     d = q.size
-    rows = [list(r) for r in q.rows]
-    if d == 0:
-        return [Fraction(1)]
-    p = [Fraction(1), -rows[0][0]]
-    for k in range(2, d + 1):
-        a = rows[k - 1][k - 1]
-        row = rows[k - 1][: k - 1]
+    den = math.lcm(*(x.denominator for row in q.rows for x in row))
+    rows = [[x.numerator * (den // x.denominator) for x in row]
+            for row in q.rows]
+    p = [1]
+    for k in range(1, d + 1):
         col = [rows[i][k - 1] for i in range(k - 1)]
         # Toeplitz column: 1, -a, -R C, -R B C, -R B^2 C, ...
-        t = [Fraction(1), -a]
-        vec = row
+        t = [1, -rows[k - 1][k - 1]]
+        vec = rows[k - 1][: k - 1]
         for _ in range(k - 1):
-            t.append(-sum(vec[i] * col[i] for i in range(k - 1)))
-            vec = [sum(vec[i] * rows[i][j] for i in range(k - 1))
-                   for j in range(k - 1)]
-        new = [Fraction(0)] * (k + 1)
-        for i in range(k + 1):
-            acc = Fraction(0)
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                acc += t[i - j] * p[j]
-            new[i] = acc
-        p = new
-    return p
+            t.append(-sum(v * c for v, c in zip(vec, col)))
+            acc = [0] * (k - 1)  # vec * B, adding whole rows of B
+            for v, row in zip(vec, rows):
+                if v:
+                    acc = [s + v * y for s, y in zip(acc, row)]
+            vec = acc
+        p = [sum(t[i - j] * p[j] for j in range(max(0, i - k), min(i, k - 1) + 1))
+             for i in range(k + 1)]
+    return [Fraction(c, den ** i) for i, c in enumerate(p)]
 
 
 @dataclass
@@ -283,7 +283,9 @@ def verify_charpoly_signs(q: RationalMatrix) -> PsdCertificate:
 
 def verify_tensor_psd(q: RationalMatrix, left: RationalMatrix,
                       right: RationalMatrix) -> PsdCertificate:
-    """Certify q == left (x) right with both factors PSD."""
+    """Certify q == left (x) right with both factors PSD.  When they are
+    not both PSD, q itself is decided by verify_ldlt and that certificate
+    is kept, so a NOT PSD verdict always carries a vector witness."""
     built = left.kron(right)
     if built.shape != q.shape or built != q:
         raise NotAKroneckerProduct(
@@ -291,11 +293,14 @@ def verify_tensor_psd(q: RationalMatrix, left: RationalMatrix,
             f"{left.shape} and {right.shape} factors")
     lc = verify_ldlt(left)
     rc = verify_ldlt(right)
-    return PsdCertificate(
-        method="tensor_product", psd=lc.psd and rc.psd,
-        matrix_hash=q.content_hash(),
-        witness={"left": left.to_jsonable(), "right": right.to_jsonable(),
-                 "left_cert": lc.to_jsonable(), "right_cert": rc.to_jsonable()})
+    witness = {"left": left.to_jsonable(), "right": right.to_jsonable(),
+               "left_cert": lc.to_jsonable(), "right_cert": rc.to_jsonable()}
+    psd = lc.psd and rc.psd
+    if not psd:
+        qc = verify_ldlt(q)
+        psd, witness["product_cert"] = qc.psd, qc.to_jsonable()
+    return PsdCertificate(method="tensor_product", psd=psd,
+                          matrix_hash=q.content_hash(), witness=witness)
 
 
 def verify_ldlt(q: RationalMatrix) -> PsdCertificate:

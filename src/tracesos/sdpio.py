@@ -289,8 +289,8 @@ def import_sdpa(path: str) -> SdpProblem:
     dims = [int(t) for t in body[2].split()]
     if len(dims) != n_block:
         raise ValueError("block count mismatch")
-    rhs_vals = [read_number(t, f"SDPA line {body[3]!r}")
-                for t in body[3].split()]
+    where = f"SDPA line {body[3]!r}"
+    rhs_vals = [read_number(t, where) for t in body[3].split()]
     if len(rhs_vals) != n_con:
         raise ValueError("rhs count mismatch")
     lhs_map: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {

@@ -71,6 +71,70 @@ def test_charpoly_matches_sympy_on_random_matrices():
             list(want), trial
 
 
+def berkowitz_over_fractions(q):
+    """The Fraction Berkowitz body that charpoly ran before it cleared
+    denominators, kept as the reference for the integer kernel."""
+    d = q.size
+    rows = [list(r) for r in q.rows]
+    if d == 0:
+        return [Fraction(1)]
+    p = [Fraction(1), -rows[0][0]]
+    for k in range(2, d + 1):
+        a = rows[k - 1][k - 1]
+        row = rows[k - 1][: k - 1]
+        col = [rows[i][k - 1] for i in range(k - 1)]
+        t = [Fraction(1), -a]
+        vec = row
+        for _ in range(k - 1):
+            t.append(-sum(vec[i] * col[i] for i in range(k - 1)))
+            vec = [sum(vec[i] * rows[i][j] for i in range(k - 1))
+                   for j in range(k - 1)]
+        new = [Fraction(0)] * (k + 1)
+        for i in range(k + 1):
+            acc = Fraction(0)
+            for j in range(max(0, i - k), min(i, k - 1) + 1):
+                acc += t[i - j] * p[j]
+            new[i] = acc
+        p = new
+    return p
+
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)))
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices with d <= 8, not necessarily symmetric: mixed
+    denominators up to 10^4, negative entries and zero rows."""
+    d = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    for i in draw(st.sets(st.integers(0, max(d - 1, 0)), max_size=d)):
+        rows[i] = [Fraction(0)] * d
+    return RationalMatrix(rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(square_matrices())
+def test_integer_charpoly_equals_fraction_berkowitz(q):
+    got = charpoly(q)
+    assert got == berkowitz_over_fractions(q)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_integer_charpoly_edge_cases():
+    empty = RationalMatrix([])
+    assert charpoly(empty) == [1] == berkowitz_over_fractions(empty)
+    single = RationalMatrix([[Fraction(-7, 9)]])
+    assert charpoly(single) == [1, Fraction(7, 9)]
+    q3 = build_certificate84(6).q3_matrix()
+    assert charpoly(q3) == berkowitz_over_fractions(q3)
+
+
 def test_q3_charpoly_matches_published():
     q3 = build_certificate84(5).q3_matrix()
     coeffs = charpoly(q3)
@@ -115,7 +179,17 @@ def test_tensor_certificates():
     with pytest.raises(NotAKroneckerProduct):
         verify_tensor_psd(RationalMatrix([[1, 0], [0, 2]]), one, one)
     indefinite = RationalMatrix([[1, 0], [0, -1]])
-    assert not verify_tensor_psd(indefinite.kron(one), indefinite, one).psd
+    q = indefinite.kron(one)
+    got = verify_tensor_psd(q, indefinite, one)
+    assert not got.psd
+    assert quadratic_value(q, got.witness["product_cert"]["witness"]["vector"]) < 0
+    assert replay(got, q).to_jsonable() == got.to_jsonable()
+    # (-1) (x) (-1) = (1): neither factor is PSD, the product is
+    minus = RationalMatrix([[-1]])
+    got = verify_tensor_psd(one, minus, minus)
+    assert got.psd and got.witness["product_cert"]["witness"]["rank"] == 1
+    both = verify_tensor_psd(one, one, one)
+    assert "product_cert" not in both.witness
 
 
 def test_schur_examples():
