@@ -99,23 +99,8 @@ def build_certificate42(n: int) -> Certificate42:
 
 
 def assemble_sos_42(cert: Certificate42) -> Polynomial:
-    total = quadratic_form(cert.q1.rows, cert.z1)
-    for z2 in cert.z2_family.values():
-        total = total + quadratic_form(cert.q2.rows, z2)
-    return total
-
-
-def assemble_sos_42_symmetrized(cert: Certificate42) -> Polynomial:
-    """The half-sum over all ordered pairs; equals the i < j assembly."""
-    total = quadratic_form(cert.q1.rows, cert.z1)
-    half = Fraction(1, 2)
-    for i in range(1, cert.n + 1):
-        for j in range(1, cert.n + 1):
-            if i == j:
-                continue
-            form = quadratic_form(cert.q2.rows, z2_vector(cert.n, i, j))
-            total = total + form.scale(half)
-    return total
+    return quadratic_form([(cert.q1.rows, cert.z1)]
+                          + [(cert.q2.rows, z2) for z2 in cert.z2_family.values()])
 
 
 def build_q1_gram_factor(n: int) -> Tuple[RationalMatrix, int]:

@@ -282,12 +282,8 @@ def build_certificate84(n: int, params=None) -> Certificate84:
 
 
 def assemble_sos_84(cert: Certificate84) -> Polynomial:
-    total = quadratic_form(cert.q1.rows, cert.z1)
-    if cert.z2:
-        total = total + quadratic_form(cert.q2.rows, cert.z2)
-    for z3 in cert.z3_family.values():
-        total = total + quadratic_form(cert.q3, z3)
-    return total
+    return quadratic_form([(cert.q1.rows, cert.z1), (cert.q2.rows, cert.z2)]
+                          + [(cert.q3, z3) for z3 in cert.z3_family.values()])
 
 
 Equation = Tuple[Tuple[Tuple[int, int], ...], int]

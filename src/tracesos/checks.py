@@ -77,16 +77,32 @@ def compare_golden(built: dict, detail: str = "") -> str:
     return detail
 
 
+def _unequal(cases, names: tuple) -> tuple:
+    """The keys of the ``(key, where, got, want)`` cases whose polynomials
+    differ, and a witness for the first: up to three monomials, lowest
+    first, with their coefficients in ``got`` and ``want``."""
+    bad, witness = [], ""
+    for key, where, got, want in cases:
+        if got != want:
+            bad.append(key)
+            witness = witness or f"; first differences at {where}: " + ", ".join(
+                f"{poly.mono_str(m)} ({names[0]} {got.terms.get(m, 0)}, "
+                f"{names[1]} {want.terms.get(m, 0)})"
+                for m in sorted((got - want).terms)[:3])
+        del got, want  # free this case before the next one is built
+    return bad, witness
+
+
 def check_dual_oracle() -> CheckResult:
     """Necklace and matrix oracles agree term-for-term for n = 1..5."""
-    bad = []
-    for n in range(1, 6):
-        for label, p in (("(4,2)", TraceProblem(4, 2, n)),
-                         ("(8,4) diag", TraceProblem(8, 4, n, diagonal_a=True))):
-            if necklace.trace_coeff_necklace(p) != necklace.trace_coeff_matrix(p):
-                bad.append((label, n))
+    bad, witness = _unequal(
+        (((label, n), f"{label} n={n}", necklace.trace_coeff_necklace(p),
+          necklace.trace_coeff_matrix(p)) for n in range(1, 6)
+         for label, p in (("(4,2)", TraceProblem(4, 2, n)),
+                          ("(8,4) diag", TraceProblem(8, 4, n, diagonal_a=True)))),
+        ("necklace", "matrix"))
     detail = ("(4,2) n=1..5 and (8,4) n=1..5 agree"
-              if not bad else f"disagreement at {bad}")
+              if not bad else f"disagreement at {bad}{witness}")
     return CheckResult("dual-oracle", not bad, detail)
 
 
@@ -110,11 +126,13 @@ def check_counterexample() -> CheckResult:
 def check_identity_42() -> CheckResult:
     """Assembled squares equal the coefficient polynomial for n = 1..6;
     the n=3 matrices match the published transcription."""
-    bad = [n for n in range(1, 7)
-           if cert42.assemble_sos_42(cert42.build_certificate42(n))
-           != necklace.trace_coeff_necklace(TraceProblem(4, 2, n))]
+    bad, witness = _unequal(
+        ((n, f"n={n}", cert42.assemble_sos_42(cert42.build_certificate42(n)),
+          necklace.trace_coeff_necklace(TraceProblem(4, 2, n)))
+         for n in range(1, 7)), ("squares", "oracle"))
     if bad:
-        return CheckResult("identity-42", False, f"identity fails at n={bad}")
+        return CheckResult("identity-42", False,
+                           f"identity fails at n={bad}{witness}")
     try:
         for name in ("Q1-n3", "Q2-n3"):
             REPRODUCIBLES[name]()
@@ -161,12 +179,13 @@ def check_identity_84(big: bool = False) -> CheckResult:
     """Assembled squares equal the diagonal-A coefficient polynomial for
     n = 1..7 (1..9 with ``big``); notes say whether Q3 is PSD from n = 6."""
     top = 9 if big else 7
-    bad = [n for n in range(1, top + 1)
-           if cert84.assemble_sos_84(cert84.build_certificate84(n))
-           != necklace.trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True))]
+    bad, witness = _unequal(
+        ((n, f"n={n}", cert84.assemble_sos_84(cert84.build_certificate84(n)),
+          necklace.trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True)))
+         for n in range(1, top + 1)), ("squares", "oracle"))
     return CheckResult("identity-84", not bad,
                        f"identity holds for n=1..{top}" if not bad
-                       else f"identity fails at n={bad}",
+                       else f"identity fails at n={bad}{witness}",
                        notes=[q3_psd_report(n) for n in range(6, top + 1)])
 
 
@@ -267,15 +286,13 @@ def q3_psd_report(n: int) -> str:
 
 def check_square_formula() -> CheckResult:
     """The explicit square expansion equals the r = 0 coefficient."""
-    bad = []
-    for m in (2, 4, 6):
-        for n in (1, 2, 3):
-            if necklace.expand_square_formula(m, n) != \
-                    necklace.trace_coeff_necklace(TraceProblem(m, 0, n)):
-                bad.append((m, n))
+    bad, witness = _unequal(
+        (((m, n), f"m={m} n={n}", necklace.expand_square_formula(m, n),
+          necklace.trace_coeff_necklace(TraceProblem(m, 0, n)))
+         for m in (2, 4, 6) for n in (1, 2, 3)), ("formula", "oracle"))
     return CheckResult("square-formula-r0", not bad,
                        "m in {2,4,6}, n<=3 all equal" if not bad
-                       else f"mismatch at {bad}")
+                       else f"mismatch at {bad}{witness}")
 
 
 def check_sdp_roundtrip() -> CheckResult:

@@ -9,7 +9,8 @@ affine forms ``const + sum_k c_k*x_k`` in tuning parameters x1, x2, ...
 A polynomial maps monomials to nonzero coefficients; the zero polynomial
 has an empty term map.  Monomials are sorted tuples of ((kind, i, j),
 exponent) pairs, so equality and hashing are structural and the
-serialization order is reproducible.
+serialization order is reproducible.  A whole sum of squares is expanded
+by one :func:`quadratic_form` call into one term map.
 """
 
 from __future__ import annotations
@@ -281,9 +282,6 @@ class Polynomial:
     def __hash__(self):
         raise TypeError("Polynomial is not hashable")
 
-    def has_params(self) -> bool:
-        return any(isinstance(c, Affine) for c in self.terms.values())
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -318,10 +316,6 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.has_params() and other.has_params():
-            raise ParameterDegreeOverflow(
-                "both factors carry x-parameters; products must stay affine"
-            )
         out: Dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -451,28 +445,30 @@ def relabel(p: Polynomial, perm: Mapping[int, int]) -> Polynomial:
     return Polynomial(out)
 
 
-def quadratic_form(matrix, z: list) -> Polynomial:
-    """Expand z^T M z for a symmetric coefficient grid M and vector z.
+def quadratic_form(blocks) -> Polynomial:
+    """Expand the sum of z^T M z over ``(grid, z)`` blocks into one polynomial.
 
-    ``matrix`` is any 2D-indexable of numeric/affine entries; ``z`` is a list
-    of polynomials.  Off-diagonal entries are counted twice, which assumes
-    M is symmetric (the builders only produce symmetric grids).
+    A grid is any 2D-indexable of numeric/affine entries, assumed symmetric
+    (off-diagonal entries count twice), and z a list of polynomials as long
+    as the grid.  Each grid object's weights (u, v, q or 2q) are listed once
+    per call and shared by every block passing that object; monomial
+    products go straight into one term map.  A grid entry with parameters
+    meeting a z coefficient with parameters raises ParameterDegreeOverflow.
     """
-    d = len(z)
+    weights: Dict[int, tuple] = {}  # id -> (grid, weights); holding grid pins id
     acc: Dict[Monomial, Coeff] = {}
-    for u in range(d):
-        row = matrix[u]
-        zu = z[u]
-        for v in range(u, d):
-            q = row[v]
-            if _coeff_is_zero(q):
-                continue
-            w = q if v == u else 2 * q
-            prod = zu * z[v]
-            for m, c in prod.terms.items():
-                cc = w * c
-                if m in acc:
-                    acc[m] = acc[m] + cc
-                else:
-                    acc[m] = cc
+    for grid, z in blocks:
+        if id(grid) not in weights:
+            weights[id(grid)] = (grid, [
+                (u, v, grid[u][v] if u == v else 2 * grid[u][v])
+                for u in range(len(z)) for v in range(u, len(z))
+                if not _coeff_is_zero(grid[u][v])])
+        for u, v, w in weights[id(grid)][1]:
+            for m1, c1 in z[u].terms.items():
+                for m2, c2 in z[v].terms.items():
+                    m = mono_mul(m1, m2)
+                    c = c1 * c2
+                    c = w if c == 1 else w * c
+                    old = acc.get(m)
+                    acc[m] = c if old is None else old + c
     return Polynomial(acc)

@@ -26,8 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .cert84 import (SYMBOLIC, InconsistentSystem, ParamSystem,
                      canonical_equation, q3_grid)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import (Affine, Monomial, Polynomial, mono_from_vars, mono_str,
-                   read_number, var)
+from .poly import (Affine, Monomial, Polynomial, mono_from_vars, mono_mul,
+                   mono_str, read_number, var)
 from .psdcert import PsdCertificate, RationalMatrix, verify_charpoly_signs
 
 
@@ -180,17 +180,20 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
     rows: Dict[Monomial, Dict[Tuple[int, int, int], Fraction]] = {
         m: {} for m in target.terms
     }
+    one, two = Fraction(1), Fraction(2)
     for b_idx, block in enumerate(basis.blocks):
         for vec in block.vectors:
             d = len(vec)
             for u in range(d):
                 for v in range(u, d):
-                    mult = Fraction(1 if u == v else 2)
-                    prod = vec[u] * vec[v]
-                    for mono, c in prod.terms.items():
-                        row = rows.setdefault(mono, {})
-                        key = (b_idx, u, v)
-                        row[key] = row.get(key, Fraction(0)) + mult * c
+                    mult = one if u == v else two
+                    key = (b_idx, u, v)
+                    for m1, c1 in vec[u].terms.items():
+                        for m2, c2 in vec[v].terms.items():
+                            row = rows.setdefault(mono_mul(m1, m2), {})
+                            c = c1 * c2
+                            c = mult if c == 1 else mult * c
+                            row[key] = row[key] + c if key in row else c
     constraints = []
     for mono in sorted(rows):
         lhs = tuple(sorted(rows[mono].items()))
@@ -310,8 +313,9 @@ def import_sdpa(path: str) -> SdpProblem:
             raise ValueError(f"SDPA body line {line!r}: entry outside "
                              f"the {dims[b - 1]}x{dims[b - 1]} block")
         key = (b - 1, i - 1, j - 1)
-        lhs_map[k][key] = lhs_map[k].get(key, Fraction(0)) + \
-            read_number(fields[4], f"SDPA line {line!r}")
+        value = read_number(fields[4], f"SDPA line {line!r}")
+        lhs = lhs_map[k]
+        lhs[key] = lhs[key] + value if key in lhs else value
     constraints = []
     for k in range(1, n_con + 1):
         constraints.append(Constraint(

@@ -7,7 +7,6 @@ from tracesos.cert42 import (
     AuditFailure,
     accounting_audit,
     assemble_sos_42,
-    assemble_sos_42_symmetrized,
     build_certificate42,
     build_q1_gram_factor,
     classify_necklace,
@@ -17,7 +16,7 @@ from tracesos.cert42 import (
 )
 from tracesos.necklace import Necklace, TraceProblem, enumerate_necklaces, \
     trace_coeff_matrix, trace_coeff_necklace
-from tracesos.poly import mono_str
+from tracesos.poly import mono_str, quadratic_form
 from tracesos.psdcert import verify_gram_factor, verify_tensor_psd
 
 
@@ -67,9 +66,15 @@ def test_assembly_identity():
 
 
 def test_symmetrized_assembly_agrees():
+    """The half-sum over all ordered pairs equals the i < j assembly."""
     for n in (2, 3):
         cert = build_certificate42(n)
-        assert assemble_sos_42_symmetrized(cert) == assemble_sos_42(cert)
+        half_q2 = [[x / 2 for x in row] for row in cert.q2.rows]
+        symmetrized = quadratic_form(
+            [(cert.q1.rows, cert.z1)]
+            + [(half_q2, z2_vector(n, i, j))
+               for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
+        assert symmetrized == assemble_sos_42(cert)
 
 
 def test_classification_published_examples():

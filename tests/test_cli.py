@@ -343,6 +343,27 @@ def test_wrong_certificate_fails_verification(monkeypatch, capsys):
     assert len(lines) == 11, out
     psd = next(line for line in lines if "psd-certificates" in line)
     assert psd.startswith("FAIL") and "gram n=2: entry (0,0)" in psd, psd
+    identity = next(line for line in lines if "identity-42" in line)
+    assert identity == (
+        "FAIL identity-42: identity fails at n=[2, 3, 4, 5, 6]; first "
+        "differences at n=2: a[1,1]^2*b[1,1]^2 (squares 12, oracle 6)"), identity
+
+
+def test_oracle_disagreement_names_monomials(monkeypatch):
+    from tracesos import checks, necklace
+    from tracesos.poly import MONO_ONE, Polynomial, parse_monomial
+
+    matrix = necklace.trace_coeff_matrix
+    extra = Polynomial({MONO_ONE: 1, parse_monomial("a[1,1]"): -2,
+                        parse_monomial("b[1,2]^4"): 3, parse_monomial("b[3,3]"): 4})
+    monkeypatch.setattr(necklace, "trace_coeff_matrix",
+                        lambda p: matrix(p) + extra if p.n >= 3 else matrix(p))
+    result = checks.check_dual_oracle()
+    assert not result.ok and result.detail == (
+        "disagreement at [('(4,2)', 3), ('(8,4) diag', 3), ('(4,2)', 4), "
+        "('(8,4) diag', 4), ('(4,2)', 5), ('(8,4) diag', 5)]; first "
+        "differences at (4,2) n=3: 1 (necklace 0, matrix 1), "
+        "a[1,1] (necklace 0, matrix -2), b[1,2]^4 (necklace 0, matrix 3)")
 
 
 def test_wrong_q3_constant_fails_verification(monkeypatch, capsys):
@@ -356,6 +377,11 @@ def test_wrong_q3_constant_fails_verification(monkeypatch, capsys):
     assert not system.ok and system.detail == f"derived system (n=5): {why}"
     code, out, _ = run(capsys, "paramsys", "--n", "4")
     assert code == 1 and out == f"derived system (n=4): {why}\n", out
+    code, out, _ = run(capsys, "verify-all", "--json")
+    identity = next(r for r in json.loads(out) if r["name"] == "identity-84")
+    assert code == 1 and not identity["ok"] and identity["detail"] == (
+        "identity fails at n=[2, 3, 4, 5, 6, 7]; first differences at n=2: "
+        "a[1,1]^4*b[1,2]^2*b[2,2]^2 (squares 9, oracle 8)"), identity
 
 
 def _leaf_paths(obj, path=()):

@@ -151,7 +151,7 @@ def test_quadratic_form_matches_direct_expansion():
     q = [[Fraction(2), Fraction(3)], [Fraction(3), Fraction(5)]]
     direct = (z[0] * z[0]).scale(2) + (z[0] * z[1]).scale(6) + \
         (z[1] * z[1]).scale(5)
-    assert quadratic_form(q, z) == direct
+    assert quadratic_form([(q, z)]) == direct
 
 
 @st.composite
@@ -196,3 +196,104 @@ def test_parameter_substitution_commutes_with_add(p, q):
     lhs = (pa + qa).substitute_params(vals)
     rhs = pa.substitute_params(vals) + qa.substitute_params(vals)
     assert lhs == rhs
+
+
+def quadratic_form_per_pair(grid, z):
+    """Reference kernel: z^T M z for one block, each product z_u*z_v built
+    as a Polynomial and weighted by q or 2q."""
+    d = len(z)
+    acc = {}
+    for u in range(d):
+        for v in range(u, d):
+            q = grid[u][v]
+            if (q.is_zero() if isinstance(q, Affine) else q == 0):
+                continue
+            w = q if v == u else 2 * q
+            for m, c in (z[u] * z[v]).terms.items():
+                acc[m] = acc[m] + w * c if m in acc else w * c
+    return Polynomial(acc)
+
+
+def quadratic_form_reference(blocks):
+    total = Polynomial.zero()
+    for grid, z in blocks:
+        total = total + quadratic_form_per_pair(grid, z)
+    return total
+
+
+@st.composite
+def grid_entries(draw, affine_entries):
+    kind = draw(st.sampled_from(
+        ("zero", "fraction", "bare", "general") if affine_entries
+        else ("zero", "fraction")))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "bare":
+        return param(draw(st.integers(1, 4)))
+    value = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 7)))
+    if kind == "fraction":
+        return value
+    linear = {draw(st.integers(1, 4)): Fraction(draw(st.integers(-5, 5)),
+                                                draw(st.integers(1, 3)))
+              for _ in range(draw(st.integers(1, 2)))}
+    return affine(value, linear)
+
+
+@st.composite
+def symmetric_grids(draw):
+    """A symmetric list-of-lists grid, rational or affine, sometimes with
+    zero rows or all zero."""
+    d = draw(st.integers(0, 4))
+    entries = grid_entries(draw(st.booleans()))
+    grid = [[Fraction(0)] * d for _ in range(d)]
+    if draw(st.integers(0, 5)) == 0:
+        return grid
+    zero_rows = draw(st.sets(st.integers(0, max(d - 1, 0)), max_size=2))
+    for u in range(d):
+        for v in range(u, d):
+            if u not in zero_rows and v not in zero_rows:
+                grid[u][v] = grid[v][u] = draw(entries)
+    return grid
+
+
+@st.composite
+def block_lists(draw):
+    """Blocks drawn from a pool of grids: a pool grid can serve several
+    blocks, and a block can take an equal copy that is a distinct object."""
+    pool = draw(st.lists(symmetric_grids(), min_size=1, max_size=3))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        grid = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            grid = [list(row) for row in grid]
+        z = [draw(polynomials(max_terms=3, max_deg=3)) for _ in grid]
+        blocks.append((grid, z))
+    return blocks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(block_lists())
+def test_quadratic_form_matches_per_pair_expansion(blocks):
+    assert quadratic_form(blocks) == quadratic_form_reference(blocks)
+
+
+def test_quadratic_form_edge_blocks():
+    x = Polynomial.variable(var("a", 1, 2))
+    assert quadratic_form([]) == Polynomial.zero()
+    assert quadratic_form([((), [])]) == Polynomial.zero()
+    shared = [[Fraction(1, 2), param(1)], [param(1), Fraction(0)]]
+    blocks = [(shared, [x, x * x]), ([[3]], [x.scale(Fraction(2, 3))]),
+              (shared, [x * x, Polynomial.monomial(MONO_ONE, 5)]),
+              ([row[:] for row in shared], [Polynomial.zero(), x])]
+    assert quadratic_form(blocks) == quadratic_form_reference(blocks)
+    # a rational grid may meet parameters in z, an affine grid may not
+    zp = [Polynomial.monomial(MONO_ONE, param(2)) + x, x]
+    rational = [[Fraction(0), Fraction(3)], [Fraction(3), Fraction(1)]]
+    assert quadratic_form([(rational, zp)]) == \
+        quadratic_form_reference([(rational, zp)])
+    for q in (param(1), affine(1, {3: 2})):
+        grid = [[Fraction(0), q], [q, Fraction(1)]]
+        with pytest.raises(ParameterDegreeOverflow):
+            quadratic_form([([[Fraction(1)]], [x]), (grid, zp)])
+        with pytest.raises(ParameterDegreeOverflow):
+            quadratic_form_reference([(grid, zp)])
