@@ -355,7 +355,8 @@ class ParamSystem:
         The result is canonical for the solution set, so two systems are
         equivalent iff their rref tuples are equal.
         """
-        rows = [[dict(terms), Fraction(rhs)] for terms, rhs in self.equations]
+        rows = [[{k: Fraction(c) for k, c in terms}, Fraction(rhs)]
+                for terms, rhs in self.equations]
         used: set = set()
         pivot_rows = []
         for k in range(1, PARAM_COUNT + 1):

@@ -88,7 +88,7 @@ def _unequal(cases, names: tuple) -> tuple:
             witness = witness or f"; first differences at {where}: " + ", ".join(
                 f"{poly.mono_str(m)} ({names[0]} {got.terms.get(m, 0)}, "
                 f"{names[1]} {want.terms.get(m, 0)})"
-                for m in sorted((got - want).terms)[:3])
+                for m in sorted((got - want).terms, key=poly.mono_key)[:3])
         del got, want  # free this case before the next one is built
     return bad, witness
 

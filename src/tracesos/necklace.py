@@ -74,14 +74,6 @@ class Necklace(NamedTuple):
     edges: Tuple[int, ...]
 
 
-def necklace_monomial(k: Necklace) -> Monomial:
-    """The monomial of one cycle: vertex t contributes the entry of its
-    letter's matrix at its two incident edge labels."""
-    letters, edges = k
-    return mono_from_vars(var(s, edges[t - 1], edges[t])
-                          for t, s in enumerate(letters))
-
-
 def letter_patterns(m: int, r: int) -> List[Tuple[str, ...]]:
     """All letter arrangements with exactly r b's, lexicographic (a < b),
     which is the order of their a-positions as combinations."""
@@ -136,8 +128,8 @@ def enumerate_necklaces(p: TraceProblem,
 
 def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polynomial:
     """Coefficient polynomial by necklace enumeration: per rotation class,
-    count the sorted tuple of each visit's shared variables by the class
-    size, then build one monomial per distinct tuple."""
+    count each visit's monomial, the sorted tuple of its shared variables,
+    by the class size."""
     _check_budget(planned_visits(p, skip_zero=True), budget)
     labels = range(p.n)
     table = {s: [[var(s, i + 1, j + 1) for j in labels] for i in labels]
@@ -149,7 +141,7 @@ def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polyn
         for values in itertools.product(labels, repeat=max(arcs) + 1):
             counts[tuple(sorted([row[values[i]][values[j]]
                                  for row, i, j in ends]))] += weight
-    return Polynomial({mono_from_vars(key): c for key, c in counts.items()})
+    return Polynomial(counts)
 
 
 Matrix = List[List[Polynomial]]

@@ -7,20 +7,23 @@ affine forms ``const + sum_k c_k*x_k`` in tuning parameters x1, x2, ...
 (degree > 1 in the parameters is a construction error, not a feature).
 
 A polynomial maps monomials to nonzero coefficients; the zero polynomial
-has an empty term map.  Monomials are sorted tuples of ((kind, i, j),
-exponent) pairs, so equality and hashing are structural and the
-serialization order is reproducible.  A whole sum of squares is expanded
-by one :func:`quadratic_form` call into one term map.
+has an empty term map.  A monomial is the sorted tuple of its variables,
+a repeated variable listed once per factor (a[1,2]^2*b[1,1] is
+(a[1,2], a[1,2], b[1,1])), so a product is one sort of the concatenated
+tuples and equality and hashing are structural.  Output orders monomials
+by :func:`mono_key`, their (variable, exponent) runs.  A whole sum of
+squares is expanded by one :func:`quadratic_form` call into one term map.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Var = Tuple[str, int, int]
-Monomial = Tuple[Tuple[Var, int], ...]
+Monomial = Tuple[Var, ...]
 Scalar = Union[int, Fraction]
 
 MONO_ONE: Monomial = ()
@@ -51,30 +54,23 @@ def var_str(v: Var) -> str:
 
 def mono_from_vars(vs: Iterable[Var]) -> Monomial:
     """Monomial that is the product of the given variables (with repeats)."""
-    counts: Dict[Var, int] = {}
-    for v in vs:
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(vs))
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    counts = dict(m1)
-    for v, e in m2:
-        counts[v] = counts.get(v, 0) + e
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(m1 + m2))
+
+
+def mono_key(m: Monomial) -> Tuple[Tuple[Var, int], ...]:
+    """The (variable, exponent) runs of a monomial: the output sort key."""
+    return tuple((v, len(list(run))) for v, run in groupby(m))
 
 
 def mono_str(m: Monomial) -> str:
     if not m:
         return "1"
-    parts = []
-    for v, e in m:
-        parts.append(var_str(v) if e == 1 else f"{var_str(v)}^{e}")
-    return "*".join(parts)
+    return "*".join(var_str(v) if e == 1 else f"{var_str(v)}^{e}"
+                    for v, e in mono_key(m))
 
 
 def parse_monomial(text: str) -> Monomial:
@@ -269,7 +265,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, v: Var) -> "Polynomial":
-        return cls({((v, 1),): 1})
+        return cls({(v,): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -338,11 +334,7 @@ class Polynomial:
         return Polynomial({m: c * cc for m, cc in self.terms.items()})
 
     def variables(self) -> set:
-        vs = set()
-        for m in self.terms:
-            for v, _ in m:
-                vs.add(v)
-        return vs
+        return {v for m in self.terms for v in m}
 
     def substitute(self, assignment: Mapping[Var, Scalar]):
         """Evaluate variables at exact rationals.
@@ -362,19 +354,19 @@ class Polynomial:
                         f"parameters {sorted(c.linear)} remain in scalar request"
                     )
                 val = Fraction(c)
-                for v, e in m:
-                    val *= assign[v] ** e
+                for v in m:
+                    val *= assign[v]
                 total += val
             return total
         out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             scalar = Fraction(1)
             rest = []
-            for v, e in m:
+            for v in m:
                 if v in assign:
-                    scalar *= assign[v] ** e
+                    scalar *= assign[v]
                 else:
-                    rest.append((v, e))
+                    rest.append(v)
             if scalar == 0:
                 continue
             key = tuple(rest)
@@ -393,7 +385,7 @@ class Polynomial:
         return Polynomial(out)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
     def text(self) -> str:
         if not self.terms:
@@ -427,7 +419,7 @@ def swap_ab(p: Polynomial) -> Polynomial:
     flip = {"a": "b", "b": "a"}
     out = {}
     for m, c in p.terms.items():
-        m2 = tuple(sorted(((flip[k], i, j), e) for (k, i, j), e in m))
+        m2 = tuple(sorted((flip[k], i, j) for k, i, j in m))
         out[m2] = c
     return Polynomial(out)
 
@@ -437,7 +429,7 @@ def relabel(p: Polynomial, perm: Mapping[int, int]) -> Polynomial:
     out: Dict[Monomial, Coeff] = {}
     for m, c in p.terms.items():
         key = mono_from_vars(var(k, perm.get(i, i), perm.get(j, j))
-                             for (k, i, j), e in m for _ in range(e))
+                             for k, i, j in m)
         if key in out:
             out[key] = out[key] + c
         else:

@@ -26,8 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .cert84 import (SYMBOLIC, InconsistentSystem, ParamSystem,
                      canonical_equation, q3_grid)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import (Affine, Monomial, Polynomial, mono_from_vars, mono_mul,
-                   mono_str, read_number, var)
+from .poly import (Affine, Monomial, Polynomial, mono_from_vars, mono_key,
+                   mono_mul, mono_str, read_number, var)
 from .psdcert import PsdCertificate, RationalMatrix, verify_charpoly_signs
 
 
@@ -195,7 +195,7 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
                             c = mult if c == 1 else mult * c
                             row[key] = row[key] + c if key in row else c
     constraints = []
-    for mono in sorted(rows):
+    for mono in sorted(rows, key=mono_key):
         lhs = tuple(sorted(rows[mono].items()))
         rhs = Fraction(target.terms.get(mono, 0))
         constraints.append(Constraint(f"match:{mono_str(mono)}", lhs, rhs))
@@ -298,6 +298,7 @@ def import_sdpa(path: str) -> SdpProblem:
         raise ValueError("rhs count mismatch")
     lhs_map: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {
         k: {} for k in range(1, n_con + 1)}
+    parsed: Dict[str, Fraction] = {}  # body token -> value, successes only
     for line in body[4:]:
         fields = line.split()
         if len(fields) != 5:
@@ -313,7 +314,10 @@ def import_sdpa(path: str) -> SdpProblem:
             raise ValueError(f"SDPA body line {line!r}: entry outside "
                              f"the {dims[b - 1]}x{dims[b - 1]} block")
         key = (b - 1, i - 1, j - 1)
-        value = read_number(fields[4], f"SDPA line {line!r}")
+        value = parsed.get(fields[4])
+        if value is None:
+            value = parsed[fields[4]] = read_number(fields[4],
+                                                    f"SDPA line {line!r}")
         lhs = lhs_map[k]
         lhs[key] = lhs[key] + value if key in lhs else value
     constraints = []

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tracesos import golden
 from tracesos.cert84 import (
@@ -12,6 +14,7 @@ from tracesos.cert84 import (
     assemble_sos_84,
     build_certificate84,
     build_q2_84,
+    canonical_equation,
     derive_param_system,
     equation_str,
     published_params,
@@ -190,6 +193,37 @@ def test_param_check_names_first_failed_condition(monkeypatch):
     assert not result.ok
     assert result.detail == \
         "derived system (n=5): not equivalent to the published system"
+
+
+def _rref_or_none(system):
+    try:
+        return system.rref()
+    except InconsistentSystem:
+        return None
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.tuples(st.dictionaries(st.integers(1, 6),
+                                          st.integers(-6, 6).filter(bool),
+                                          min_size=1, max_size=4),
+                          st.integers(-9, 9)), min_size=2, max_size=4),
+       st.data())
+def test_row_operations_leave_rref_unchanged(rows, data):
+    # adding f times row i to row j keeps the solution set, so the rref
+    # (or the inconsistency) must not move, and it stays exact
+    i, j = data.draw(st.permutations(range(len(rows))))[:2]
+    f = data.draw(st.integers(-4, 4).filter(bool))
+    coeffs = dict(rows[j][0])
+    for k, c in rows[i][0].items():
+        coeffs[k] = coeffs.get(k, 0) + f * c
+    assume(any(coeffs.values()))
+    combined = rows[:j] + [(coeffs, rows[j][1] + f * rows[i][1])] + rows[j + 1:]
+    before, after = (_rref_or_none(ParamSystem.from_equations(
+        canonical_equation(c, r) for c, r in eqs)) for eqs in (rows, combined))
+    assert before == after
+    for terms, rhs in before or ():
+        assert all(type(c) is Fraction for _, c in terms)
+        assert type(rhs) is Fraction
 
 
 def test_derivation_stable_between_n4_and_n5():

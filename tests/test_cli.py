@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -46,6 +47,23 @@ def test_coeff_oracles_write_identical_json(tmp_path, capsys):
             blobs[oracle] = path.read_bytes().replace(
                 f'"oracle": "{oracle}"'.encode(), b'"oracle": ""')
         assert blobs["necklace"] == blobs["matrix"], args
+
+
+def test_emitted_bytes_are_pinned(tmp_path, capsys):
+    # size and SHA-256 of files written while monomials were stored as
+    # (variable, exponent) pairs: the constraint order, the monomial text
+    # and the basis hash must not move with the representation
+    path = tmp_path / "out"
+    for argv, size, digest in (
+            (("sdp-export", "--m", "4", "--r", "2", "--n", "3", "--basis",
+              "certificate", "--entry-sum"), 4366,
+             "19ddd637ae2560031e278f49010d4b720aec5bdc767edd5b66329c4e948d27a5"),
+            (("coeff", "--m", "6", "--r", "2", "--n", "2"), 1859,
+             "6813f414cebce4c8a97170f1a16102b16db749123edb749e1534b3e45586346b")):
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        blob = path.read_bytes()
+        assert code == 0
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest), argv
 
 
 def test_workers_flag_is_gone(capsys):
