@@ -39,6 +39,7 @@ from .poly import (
     Polynomial,
     affine,
     mono_from_vars,
+    mono_key,
     mono_str,
     param,
     quadratic_form,
@@ -445,19 +446,18 @@ def coefficient_match_equations(n: int) -> ParamSystem:
     Expands the certificate with symbolic parameters, subtracts the
     necklace oracle's coefficient polynomial, and turns each surviving
     coefficient into a canonical linear equation.  Below n = 4 some entry
-    classes never meet a monomial, so the system comes out weaker.
+    classes never meet a monomial, so the system comes out weaker.  A
+    parameter-free coefficient is named at its lowest monomial.
     """
     cert = build_certificate84(n, params=SYMBOLIC)
     target = trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True))
     diff = assemble_sos_84(cert) - target
-    forms = []
-    for mono, coeff in diff.terms.items():
-        if isinstance(coeff, Affine):
-            forms.append(coeff)
-        else:
-            raise InconsistentSystem(
-                f"parameter-free coefficient {coeff} left at {mono_str(mono)}")
-    return ParamSystem.from_affine_forms(forms)
+    fixed = [m for m, c in diff.terms.items() if not isinstance(c, Affine)]
+    if fixed:
+        mono = min(fixed, key=mono_key)
+        raise InconsistentSystem(f"parameter-free coefficient "
+                                 f"{diff.terms[mono]} left at {mono_str(mono)}")
+    return ParamSystem.from_affine_forms(diff.terms.values())
 
 
 def derive_param_system(n: int) -> ParamSystem:

@@ -9,6 +9,17 @@ fixes the monomial, so one letter pattern per rotation class is visited,
 weighted by its size.  With a diagonal A only cycles whose arcs (edges
 from one b-vertex to the next) carry one label each are visited.
 
+Every edge label shows up in the variables of its two end vertices, so a
+cycle's label set is the label set of its monomial.  An increasing map
+from {1..j} onto a j-subset S of [n] therefore matches the cycles labelled
+by exactly {1..j} with those labelled by exactly S, monomial for
+monomial, and the coefficient of a monomial on S does not depend on
+n >= |S|.  A cycle uses at most as many labels as it has arcs (r, at
+least 1, for a diagonal A, else m), so for n above the arc count the
+cycles are enumerated once at n0 = arcs and each term on {1..j} is lifted
+to every j-subset of [n].  The map keeps i <= j and the variable order,
+so a lifted monomial needs no sort.
+
 Two independent constructions of the same polynomial are provided: direct
 enumeration of the cycles, and symbolic powering of the n-by-n matrix
 A + tB kept as its t-slices up to t^r.  They are compared term-for-term
@@ -25,7 +36,8 @@ from operator import itemgetter
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .poly import Coeff, Monomial, Polynomial, mono_from_vars, mono_mul, var
+from .poly import (Coeff, Monomial, Polynomial, mono_from_vars, mono_mul,
+                   sum_of_products, var)
 
 DEFAULT_BUDGET = 10**8
 
@@ -59,12 +71,18 @@ class TraceProblem:
     def necklace_count(self) -> int:
         return comb(self.m, self.r) * self.n**self.m
 
+    @property
+    def arc_count(self) -> int:
+        """Labels a cycle with a nonzero monomial carries at most: one per
+        arc for a diagonal A (r of them, or 1 when r = 0), else one per
+        edge."""
+        return max(self.r, 1) if self.diagonal_a else self.m
+
     def cycle_count(self) -> int:
         """Cycles with a nonzero monomial: per letter pattern, one label per
         edge, or per arc for a diagonal A.  The matrix oracle's polynomial
         term products grow with it too, so it budgets both oracles."""
-        return comb(self.m, self.r) * self.n ** (
-            max(self.r, 1) if self.diagonal_a else self.m)
+        return comb(self.m, self.r) * self.n**self.arc_count
 
 
 class Necklace(NamedTuple):
@@ -101,9 +119,11 @@ def rotation_classes(m: int, r: int) -> List[Tuple[Tuple[str, ...], int]]:
 
 
 def planned_visits(p: TraceProblem, skip_zero: bool = False) -> int:
-    """Cycles the necklace oracle visits: n^m per rotation class, or with
-    ``skip_zero`` and a diagonal A, one label per arc."""
-    arcs = max(p.r, 1) if skip_zero and p.diagonal_a else p.m
+    """Cycles the necklace oracle sums over: n^m per rotation class, or
+    with ``skip_zero`` and a diagonal A, one label per arc.  An upper bound
+    on the cycles it visits, which are fewer when n exceeds the arc count
+    (see the module docstring)."""
+    arcs = p.arc_count if skip_zero else p.m
     return len(rotation_classes(p.m, p.r)) * p.n ** arcs
 
 
@@ -129,11 +149,21 @@ def enumerate_necklaces(p: TraceProblem,
 def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polynomial:
     """Coefficient polynomial by necklace enumeration: per rotation class,
     count each visit's monomial, the sorted tuple of its shared variables,
-    by the class size."""
+    by the class size.  Above the arc count, enumerate at n0 = arcs and
+    lift (see the module docstring)."""
     _check_budget(planned_visits(p, skip_zero=True), budget)
     labels = range(p.n)
     table = {s: [[var(s, i + 1, j + 1) for j in labels] for i in labels]
              for s in "ab"}
+    n0 = min(p.n, p.arc_count)
+    counts = _class_counts(p, table, n0)
+    return Polynomial(counts if n0 == p.n else _lift(counts, table, p.n))
+
+
+def _class_counts(p: TraceProblem, table, n0: int) -> Counter:
+    """Monomial counts of the cycles labelled in [n0], one letter pattern
+    per rotation class weighted by its size; variables come from ``table``."""
+    labels = range(n0)
     counts: Counter = Counter()
     for rep, weight in rotation_classes(p.m, p.r):
         arcs = _edge_arcs(rep) if p.diagonal_a else range(p.m)
@@ -141,7 +171,30 @@ def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polyn
         for values in itertools.product(labels, repeat=max(arcs) + 1):
             counts[tuple(sorted([row[values[i]][values[j]]
                                  for row, i, j in ends]))] += weight
-    return Polynomial(counts)
+    return counts
+
+
+def _lift(counts: Counter, table, n: int) -> Dict[Monomial, int]:
+    """Terms at size n from the counts at n0 < n: each term whose labels are
+    exactly {1..j} is relabelled through the increasing map onto every
+    j-subset of [n].  A term is an itemgetter over the subset's flat
+    variable list, [a-rows, then b-rows] of the subset's j-by-j block; it
+    picks m >= 2 variables, so it returns the monomial as a tuple."""
+    kept: Dict[int, list] = {}
+    for mono, weight in counts.items():
+        used = {x for _, i, j in mono for x in (i, j)}
+        size = len(used)
+        if max(used) == size:
+            kept.setdefault(size, []).append((itemgetter(*[
+                (s == "b") * size * size + (i - 1) * size + j - 1
+                for s, i, j in mono]), weight))
+    out: Dict[Monomial, int] = {}
+    for size, terms in kept.items():
+        for sub in itertools.combinations(range(n), size):
+            flat = [table[s][i][j] for s in "ab" for i in sub for j in sub]
+            for getter, weight in terms:
+                out[getter(flat)] = weight
+    return out
 
 
 Matrix = List[List[Polynomial]]
@@ -155,8 +208,7 @@ def _symbolic_matrix(n: int, kind: str, diagonal: bool) -> Matrix:
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n) if a[i][k] and b[k][j]),
-                 Polynomial.zero())
+    return [[sum_of_products((a[i][k], b[k][j]) for k in range(n))
              for j in range(n)] for i in range(n)]
 
 
@@ -180,9 +232,8 @@ def trace_coeff_matrix(p: TraceProblem, budget: Optional[int] = None) -> Polynom
         h = ha[:1] + [[[x + y for x, y in zip(row_a, row_b)]
                        for row_a, row_b in zip(ha[s], hb[s - 1])]
                       for s in range(1, r + 1)]
-    return sum((h[s][i][k] * h[r - s][k][i]
-                for s in range(r + 1) for i in range(n) for k in range(n)),
-               Polynomial.zero())
+    return sum_of_products((h[s][i][k], h[r - s][k][i])
+                           for s in range(r + 1) for i in range(n) for k in range(n))
 
 
 def expand_square_formula(m: int, n: int) -> Polynomial:

@@ -66,11 +66,16 @@ def mono_key(m: Monomial) -> Tuple[Tuple[Var, int], ...]:
     return tuple((v, len(list(run))) for v, run in groupby(m))
 
 
-def mono_str(m: Monomial) -> str:
-    if not m:
+def runs_str(runs: Tuple[Tuple[Var, int], ...]) -> str:
+    """Text of the monomial whose :func:`mono_key` runs are given."""
+    if not runs:
         return "1"
     return "*".join(var_str(v) if e == 1 else f"{var_str(v)}^{e}"
-                    for v, e in mono_key(m))
+                    for v, e in runs)
+
+
+def mono_str(m: Monomial) -> str:
+    return runs_str(mono_key(m))
 
 
 def parse_monomial(text: str) -> Monomial:
@@ -312,16 +317,7 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: Dict[Monomial, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                if m in out:
-                    out[m] = out[m] + c
-                else:
-                    out[m] = c
-        return Polynomial(out)
+        return sum_of_products([(self, other)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Affine)):
@@ -437,22 +433,41 @@ def relabel(p: Polynomial, perm: Mapping[int, int]) -> Polynomial:
     return Polynomial(out)
 
 
+def sum_of_products(pairs) -> Polynomial:
+    """Expand the sum of p*q over ``(p, q)`` pairs into one polynomial."""
+    acc: Dict[Monomial, Coeff] = {}
+    for p, q in pairs:
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q.terms.items():
+                m = mono_mul(m1, m2)
+                c = c1 * c2
+                old = acc.get(m)
+                acc[m] = c if old is None else old + c
+    return Polynomial(acc)
+
+
+def _whole(c: Coeff) -> Coeff:
+    """A Fraction with denominator 1 as an int; any other value unchanged."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
 def quadratic_form(blocks) -> Polynomial:
     """Expand the sum of z^T M z over ``(grid, z)`` blocks into one polynomial.
 
     A grid is any 2D-indexable of numeric/affine entries, assumed symmetric
     (off-diagonal entries count twice), and z a list of polynomials as long
     as the grid.  Each grid object's weights (u, v, q or 2q) are listed once
-    per call and shared by every block passing that object; monomial
-    products go straight into one term map.  A grid entry with parameters
-    meeting a z coefficient with parameters raises ParameterDegreeOverflow.
+    per call, a whole number as an int, and shared by every block passing
+    that object; monomial products go straight into one term map.  A grid
+    entry with parameters meeting a z coefficient with parameters raises
+    ParameterDegreeOverflow.
     """
     weights: Dict[int, tuple] = {}  # id -> (grid, weights); holding grid pins id
     acc: Dict[Monomial, Coeff] = {}
     for grid, z in blocks:
         if id(grid) not in weights:
             weights[id(grid)] = (grid, [
-                (u, v, grid[u][v] if u == v else 2 * grid[u][v])
+                (u, v, _whole(grid[u][v] if u == v else 2 * grid[u][v]))
                 for u in range(len(z)) for v in range(u, len(z))
                 if not _coeff_is_zero(grid[u][v])])
         for u, v, w in weights[id(grid)][1]:

@@ -27,7 +27,7 @@ from .cert84 import (SYMBOLIC, InconsistentSystem, ParamSystem,
                      canonical_equation, q3_grid)
 from .necklace import TraceProblem, trace_coeff_necklace
 from .poly import (Affine, Monomial, Polynomial, mono_from_vars, mono_key,
-                   mono_mul, mono_str, read_number, var)
+                   mono_mul, read_number, runs_str, var)
 from .psdcert import PsdCertificate, RationalMatrix, verify_charpoly_signs
 
 
@@ -195,10 +195,10 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
                             c = mult if c == 1 else mult * c
                             row[key] = row[key] + c if key in row else c
     constraints = []
-    for mono in sorted(rows, key=mono_key):
+    for runs, mono in sorted(zip(map(mono_key, rows), rows)):
         lhs = tuple(sorted(rows[mono].items()))
         rhs = Fraction(target.terms.get(mono, 0))
-        constraints.append(Constraint(f"match:{mono_str(mono)}", lhs, rhs))
+        constraints.append(Constraint(f"match:{runs_str(runs)}", lhs, rhs))
     for b_idx, block in enumerate(basis.blocks):
         if not block.ansatz:
             continue
@@ -292,13 +292,19 @@ def import_sdpa(path: str) -> SdpProblem:
     dims = [int(t) for t in body[2].split()]
     if len(dims) != n_block:
         raise ValueError("block count mismatch")
-    where = f"SDPA line {body[3]!r}"
-    rhs_vals = [read_number(t, where) for t in body[3].split()]
+    parsed: Dict[str, Fraction] = {}  # token -> value, successes only
+
+    def number(token: str, line: str) -> Fraction:
+        value = parsed.get(token)
+        if value is None:
+            value = parsed[token] = read_number(token, f"SDPA line {line!r}")
+        return value
+
+    rhs_vals = [number(t, body[3]) for t in body[3].split()]
     if len(rhs_vals) != n_con:
         raise ValueError("rhs count mismatch")
     lhs_map: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {
         k: {} for k in range(1, n_con + 1)}
-    parsed: Dict[str, Fraction] = {}  # body token -> value, successes only
     for line in body[4:]:
         fields = line.split()
         if len(fields) != 5:
@@ -314,10 +320,7 @@ def import_sdpa(path: str) -> SdpProblem:
             raise ValueError(f"SDPA body line {line!r}: entry outside "
                              f"the {dims[b - 1]}x{dims[b - 1]} block")
         key = (b - 1, i - 1, j - 1)
-        value = parsed.get(fields[4])
-        if value is None:
-            value = parsed[fields[4]] = read_number(fields[4],
-                                                    f"SDPA line {line!r}")
+        value = number(fields[4], line)
         lhs = lhs_map[k]
         lhs[key] = lhs[key] + value if key in lhs else value
     constraints = []

@@ -52,14 +52,21 @@ def test_coeff_oracles_write_identical_json(tmp_path, capsys):
 def test_emitted_bytes_are_pinned(tmp_path, capsys):
     # size and SHA-256 of files written while monomials were stored as
     # (variable, exponent) pairs: the constraint order, the monomial text
-    # and the basis hash must not move with the representation
+    # and the basis hash must not move with the representation.  The two
+    # coefficient files at n above the arc count were written while the
+    # necklace oracle still enumerated every cycle at the full n.
     path = tmp_path / "out"
     for argv, size, digest in (
             (("sdp-export", "--m", "4", "--r", "2", "--n", "3", "--basis",
               "certificate", "--entry-sum"), 4366,
              "19ddd637ae2560031e278f49010d4b720aec5bdc767edd5b66329c4e948d27a5"),
             (("coeff", "--m", "6", "--r", "2", "--n", "2"), 1859,
-             "6813f414cebce4c8a97170f1a16102b16db749123edb749e1534b3e45586346b")):
+             "6813f414cebce4c8a97170f1a16102b16db749123edb749e1534b3e45586346b"),
+            (("coeff", "--m", "8", "--r", "4", "--n", "9", "--diagonal-a"),
+             1426184,
+             "20cfb2964dfd096831398a5e2372cb2a17c3ff349390dfcaa39e470225e78400"),
+            (("coeff", "--m", "4", "--r", "2", "--n", "6"), 47085,
+             "7bcf1f5f053a13b455405ee9ad46d2fe72185e5c81c9c082561d0812a913f7b1")):
         code, _, _ = run(capsys, *argv, "--out", str(path))
         blob = path.read_bytes()
         assert code == 0
@@ -388,7 +395,9 @@ def test_wrong_q3_constant_fails_verification(monkeypatch, capsys):
     from tracesos import cert84, checks
 
     monkeypatch.setitem(cert84.Q3_TABLE, (5, 5), 9)
-    why = "parameter-free coefficient 1 left at a[1,1]^4*b[1,2]^2*b[2,2]^2"
+    # the lowest parameter-free monomial in output order is named
+    why = ("parameter-free coefficient 2 left at "
+           "a[1,1]^4*b[1,2]*b[1,3]*b[2,2]*b[2,3]")
     sums = checks.check_entry_sums()
     assert not sums.ok and f"derived system (n=5): {why}" in sums.detail
     system = checks.check_param_system()

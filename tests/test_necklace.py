@@ -112,14 +112,33 @@ def test_rotation_classes():
 
 
 def test_oracle_matches_its_definition():
-    # the rotation-class sum equals the plain sum over every cycle
+    # the rotation-class sum equals the plain sum over every cycle; the
+    # listed cases have n above the arc count, so the oracle lifts them
     grid = [TraceProblem(m, r, n, diagonal_a=diag)
             for m in (2, 4, 6, 8) for r in sorted({0, 2, m - 2, m})
             for n in (1, 2, 3) for diag in (False, True)]
-    for p in grid + [TraceProblem(8, 4, 5, diagonal_a=True)]:
+    lifted = [TraceProblem(4, 2, 5), TraceProblem(4, 4, 5),
+              TraceProblem(2, 0, 3), TraceProblem(4, 0, 3, diagonal_a=True),
+              TraceProblem(6, 2, 4, diagonal_a=True),
+              TraceProblem(8, 4, 5, diagonal_a=True),
+              TraceProblem(8, 4, 6, diagonal_a=True)]
+    assert all(p.n > p.arc_count for p in lifted)
+    for p in grid + lifted:
         want = Polynomial(Counter(map(necklace_monomial,
                                       enumerate_necklaces(p))))
         assert trace_coeff_necklace(p) == want, p
+
+
+def test_cycle_labels_are_its_monomial_labels():
+    # every edge label sits on its two end vertices' variables, which is
+    # what lets the oracle lift the terms on {1..j} to any j-subset of [n]
+    for p in [TraceProblem(4, 2, 3), TraceProblem(6, 4, 3),
+              TraceProblem(2, 0, 3), TraceProblem(8, 4, 4, diagonal_a=True),
+              TraceProblem(6, 2, 3, diagonal_a=True),
+              TraceProblem(4, 0, 3, diagonal_a=True)]:
+        for k in enumerate_necklaces(p):
+            assert set(k.edges) == {x for _, i, j in necklace_monomial(k)
+                                    for x in (i, j)}, k
 
 
 def test_trace_coeff_scalar_case():

@@ -186,6 +186,8 @@ def test_quadratic_form_matches_direct_expansion():
     direct = (z[0] * z[0]).scale(2) + (z[0] * z[1]).scale(6) + \
         (z[1] * z[1]).scale(5)
     assert quadratic_form([(q, z)]) == direct
+    # every weight here is whole, so every coefficient is stored as an int
+    assert all(type(c) is int for c in quadratic_form([(q, z)]).terms.values())
 
 
 @st.composite

@@ -116,6 +116,13 @@ def test_import_rejects_malformed_body_lines(tmp_path):
         tampered.write_text("\n".join(lines[:-1] + [bad]) + "\n")
         with pytest.raises(ValueError, match=re.escape(bad)):
             import_sdpa(str(tampered))
+    # the right-hand side (fourth line after the comments) shares the
+    # token memo; a bad token there is still named with its line
+    at = next(idx for idx, line in enumerate(lines) if line[0] != "*") + 3
+    bad = " ".join(["x"] + lines[at].split()[1:])
+    tampered.write_text("\n".join(lines[:at] + [bad] + lines[at + 1:]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"SDPA line {bad!r}")):
+        import_sdpa(str(tampered))
 
 
 _TOKEN = st.one_of(st.integers(-2, 12).map(str), st.text(max_size=4),
