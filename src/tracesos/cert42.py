@@ -23,7 +23,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .necklace import Necklace, TraceProblem, enumerate_necklaces
-from .poly import Polynomial, mono_from_vars, quadratic_form, var
+from .poly import Monomial, Polynomial, mono_from_vars, quadratic_form, var
 from .psdcert import RationalMatrix
 
 Label = Tuple[int, ...]          # (k,) singleton or (i, j) with i < j
@@ -51,12 +51,11 @@ def build_q1(n: int) -> RationalMatrix:
     return RationalMatrix(rows, row_labels=labels)
 
 
-def build_z1(n: int) -> List[Polynomial]:
+def build_z1(n: int) -> List[Monomial]:
     out = []
     for lab in index_sets(n):
         i, j = (lab[0], lab[0]) if len(lab) == 1 else lab
-        out.append(Polynomial.monomial(
-            mono_from_vars([var("a", i, j), var("b", i, j)])))
+        out.append(mono_from_vars([var("a", i, j), var("b", i, j)]))
     return out
 
 
@@ -66,13 +65,13 @@ def build_q2(n: int) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def z2_vector(n: int, i: int, j: int) -> List[Polynomial]:
+def z2_vector(n: int, i: int, j: int) -> List[Monomial]:
     """Upper half a[i,k]b[j,k], lower half a[j,k]b[i,k], k = 1..n."""
     if i == j:
         raise ValueError("ordered pair needs distinct indices")
-    upper = [Polynomial.monomial(mono_from_vars([var("a", i, k), var("b", j, k)]))
+    upper = [mono_from_vars([var("a", i, k), var("b", j, k)])
              for k in range(1, n + 1)]
-    lower = [Polynomial.monomial(mono_from_vars([var("a", j, k), var("b", i, k)]))
+    lower = [mono_from_vars([var("a", j, k), var("b", i, k)])
              for k in range(1, n + 1)]
     return upper + lower
 
@@ -81,9 +80,9 @@ def z2_vector(n: int, i: int, j: int) -> List[Polynomial]:
 class Certificate42:
     n: int
     q1: RationalMatrix
-    z1: List[Polynomial]
+    z1: List[Monomial]
     q2: RationalMatrix
-    z2_family: Dict[Tuple[int, int], List[Polynomial]]
+    z2_family: Dict[Tuple[int, int], List[Monomial]]
 
     def entry_sum(self) -> Fraction:
         return self.q1.entry_sum() + comb(self.n, 2) * self.q2.entry_sum()

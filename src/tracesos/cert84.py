@@ -36,6 +36,7 @@ from .necklace import TraceProblem, trace_coeff_necklace
 from .poly import (
     Affine,
     Coeff,
+    Monomial,
     Polynomial,
     affine,
     mono_from_vars,
@@ -158,17 +159,13 @@ def z3_restriction_indices(n: int, n_sub: int) -> List[int]:
             if k <= n_sub]
 
 
-def _mono(*vs) -> Polynomial:
-    return Polynomial.monomial(mono_from_vars(vs))
-
-
-def z3_vector(n: int, i: int, j: int) -> List[Polynomial]:
+def z3_vector(n: int, i: int, j: int) -> List[Monomial]:
     out = []
     for block, side, k in z3_labels(n, i, j):
         at = {"i": i, "j": j, "k": k, "s": i if side == "i" else j}
         p, q = (at[c] for c in Z3_A_PART[block])
-        out.append(_mono(var("a", p, p), var("a", q, q),
-                         var("b", i, k), var("b", j, k)))
+        out.append(mono_from_vars([var("a", p, p), var("a", q, q),
+                                   var("b", i, k), var("b", j, k)]))
     return out
 
 
@@ -220,17 +217,17 @@ def build_q2_84(n: int) -> RationalMatrix:
     return RationalMatrix(rows, row_labels=labels)
 
 
-def build_z2_84(n: int) -> List[Polynomial]:
+def build_z2_84(n: int) -> List[Monomial]:
     out = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if j != i:
-                out.append(_mono(var("a", i, i), var("a", i, i),
-                                 var("b", i, j), var("b", i, j)))
+                out.append(mono_from_vars([var("a", i, i), var("a", i, i),
+                                           var("b", i, j), var("b", i, j)]))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            out.append(_mono(var("a", i, i), var("a", j, j),
-                             var("b", i, j), var("b", i, j)))
+            out.append(mono_from_vars([var("a", i, i), var("a", j, j),
+                                       var("b", i, j), var("b", i, j)]))
     return out
 
 
@@ -238,11 +235,11 @@ def build_z2_84(n: int) -> List[Polynomial]:
 class Certificate84:
     n: int
     q1: RationalMatrix
-    z1: List[Polynomial]
+    z1: List[Monomial]
     q2: RationalMatrix
-    z2: List[Polynomial]
+    z2: List[Monomial]
     q3: Tuple[Tuple[Coeff, ...], ...]
-    z3_family: Dict[Tuple[int, int], List[Polynomial]]
+    z3_family: Dict[Tuple[int, int], List[Monomial]]
 
     @property
     def symbolic(self) -> bool:
@@ -273,8 +270,9 @@ def build_certificate84(n: int, params=None) -> Certificate84:
         raise InvalidDimension(f"n must be positive, got {n}")
     q1 = RationalMatrix(
         [[70 if i == j else 0 for j in range(n)] for i in range(n)])
-    z1 = [_mono(var("a", i, i), var("a", i, i),
-                var("b", i, i), var("b", i, i)) for i in range(1, n + 1)]
+    z1 = [mono_from_vars([var("a", i, i), var("a", i, i),
+                          var("b", i, i), var("b", i, i)])
+          for i in range(1, n + 1)]
     z3_family = {(i, j): z3_vector(n, i, j)
                  for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     return Certificate84(n=n, q1=q1, z1=z1, q2=build_q2_84(n),

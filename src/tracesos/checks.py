@@ -388,7 +388,7 @@ def _matrix(name: str, mat: psdcert.RationalMatrix, labels: str = "") -> str:
 
 
 def _texts(vectors) -> list:
-    return [p.text() for p in vectors]
+    return [poly.mono_str(m) for m in vectors]
 
 
 def _family(vectors: dict) -> dict:

@@ -16,7 +16,7 @@ import sys
 
 from . import cert42, cert84, checks, necklace, psdcert, sdpio
 from .necklace import BudgetExceeded, TraceProblem
-from .poly import read_number
+from .poly import mono_str, read_number
 
 DEFAULT_BUDGET = necklace.DEFAULT_BUDGET
 
@@ -70,8 +70,8 @@ def cmd_cert42(args) -> int:
         "n": args.n,
         "q1": cert.q1.to_jsonable(),
         "q2": cert.q2.to_jsonable(),
-        "z1": [p.text() for p in cert.z1],
-        "z2": {f"{i},{j}": [p.text() for p in vec]
+        "z1": [mono_str(m) for m in cert.z1],
+        "z2": {f"{i},{j}": [mono_str(m) for m in vec]
                for (i, j), vec in sorted(cert.z2_family.items())},
         "entry_sum": str(cert.entry_sum()),
     }

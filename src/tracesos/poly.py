@@ -132,7 +132,8 @@ def read_number(value, where: str) -> Fraction:
 
 
 class Affine:
-    """Affine form const + sum c_k*x_k; always carries at least one x-term.
+    """Affine form const + sum c_k*x_k; always carries at least one x-term,
+    so every Affine is nonzero and truthy.
 
     Purely numeric values are represented by plain int/Fraction, never by
     an Affine with empty linear part (see :func:`affine`).
@@ -143,9 +144,9 @@ class Affine:
     def __init__(self, const, linear: Mapping[int, Fraction]):
         self.const = Fraction(const)
         self.linear = {k: Fraction(c) for k, c in linear.items() if c != 0}
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.linear
+        if not self.linear:
+            raise ValueError("an Affine needs an x-term; use affine() for "
+                             "x-free values")
 
     def __eq__(self, other):
         if isinstance(other, Affine):
@@ -190,16 +191,6 @@ class Affine:
 
     __rmul__ = __mul__
 
-    def subs(self, values: Mapping[int, Scalar]):
-        total = self.const
-        lin = {}
-        for k, c in self.linear.items():
-            if k in values:
-                total += c * Fraction(values[k])
-            else:
-                lin[k] = c
-        return affine(total, lin)
-
     def __str__(self):
         parts = [] if self.const == 0 else [str(self.const)]
         for k, c in sorted(self.linear.items()):
@@ -229,12 +220,6 @@ def param(k: int) -> Affine:
 Coeff = Union[int, Fraction, Affine]
 
 
-def _coeff_is_zero(c: Coeff) -> bool:
-    if isinstance(c, Affine):
-        return c.is_zero()
-    return c == 0
-
-
 def coeff_to_jsonable(c: Coeff):
     if isinstance(c, Affine):
         return {"const": str(c.const),
@@ -256,7 +241,7 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
         if terms:
-            self.terms = {m: c for m, c in terms.items() if not _coeff_is_zero(c)}
+            self.terms = {m: c for m, c in terms.items() if c}
         else:
             self.terms = {}
 
@@ -325,7 +310,7 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, c: Coeff) -> "Polynomial":
-        if _coeff_is_zero(c):
+        if not c:
             return Polynomial.zero()
         return Polynomial({m: c * cc for m, cc in self.terms.items()})
 
@@ -371,13 +356,6 @@ class Polynomial:
                 out[key] = out[key] + cc
             else:
                 out[key] = cc
-        return Polynomial(out)
-
-    def substitute_params(self, values: Mapping[int, Scalar]) -> "Polynomial":
-        """Substitute numeric values for x-parameters in the coefficients."""
-        out: Dict[Monomial, Coeff] = {}
-        for m, c in self.terms.items():
-            out[m] = c.subs(values) if isinstance(c, Affine) else c
         return Polynomial(out)
 
     def sorted_terms(self):
@@ -455,12 +433,11 @@ def quadratic_form(blocks) -> Polynomial:
     """Expand the sum of z^T M z over ``(grid, z)`` blocks into one polynomial.
 
     A grid is any 2D-indexable of numeric/affine entries, assumed symmetric
-    (off-diagonal entries count twice), and z a list of polynomials as long
+    (off-diagonal entries count twice), and z a list of monomials as long
     as the grid.  Each grid object's weights (u, v, q or 2q) are listed once
     per call, a whole number as an int, and shared by every block passing
-    that object; monomial products go straight into one term map.  A grid
-    entry with parameters meeting a z coefficient with parameters raises
-    ParameterDegreeOverflow.
+    that object; each weight goes straight into one term map at the
+    product of its two monomials.
     """
     weights: Dict[int, tuple] = {}  # id -> (grid, weights); holding grid pins id
     acc: Dict[Monomial, Coeff] = {}
@@ -469,13 +446,9 @@ def quadratic_form(blocks) -> Polynomial:
             weights[id(grid)] = (grid, [
                 (u, v, _whole(grid[u][v] if u == v else 2 * grid[u][v]))
                 for u in range(len(z)) for v in range(u, len(z))
-                if not _coeff_is_zero(grid[u][v])])
+                if grid[u][v]])
         for u, v, w in weights[id(grid)][1]:
-            for m1, c1 in z[u].terms.items():
-                for m2, c2 in z[v].terms.items():
-                    m = mono_mul(m1, m2)
-                    c = c1 * c2
-                    c = w if c == 1 else w * c
-                    old = acc.get(m)
-                    acc[m] = c if old is None else old + c
+            m = mono_mul(z[u], z[v])
+            old = acc.get(m)
+            acc[m] = w if old is None else old + w
     return Polynomial(acc)

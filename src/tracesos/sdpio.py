@@ -26,8 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .cert84 import (SYMBOLIC, InconsistentSystem, ParamSystem,
                      canonical_equation, q3_grid)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import (Affine, Monomial, Polynomial, mono_from_vars, mono_key,
-                   mono_mul, read_number, runs_str, var)
+from .poly import (Affine, Monomial, mono_from_vars, mono_key, mono_mul,
+                   mono_str, read_number, runs_str, var)
 from .psdcert import PsdCertificate, RationalMatrix, verify_charpoly_signs
 
 
@@ -70,7 +70,7 @@ class Ansatz:
 @dataclass(frozen=True)
 class BasisBlock:
     label: str
-    vectors: Tuple[Tuple[Polynomial, ...], ...]
+    vectors: Tuple[Tuple[Monomial, ...], ...]
     ansatz: Optional[Ansatz] = None
 
     @property
@@ -85,7 +85,7 @@ class BasisSpec:
     def content_hash(self) -> str:
         payload = []
         for b in self.blocks:
-            vecs = [[p.text() for p in vec] for vec in b.vectors]
+            vecs = [[mono_str(m) for m in vec] for vec in b.vectors]
             ans = None
             if b.ansatz:
                 ans = {"fixed": [[list(k), str(v)] for k, v in b.ansatz.fixed],
@@ -108,7 +108,7 @@ def auto_basis(p: TraceProblem) -> BasisSpec:
     monos = []
     for a_part in itertools.combinations_with_replacement(a_vars, (p.m - p.r) // 2):
         for b_part in itertools.combinations_with_replacement(b_vars, p.r // 2):
-            monos.append(Polynomial.monomial(mono_from_vars(a_part + b_part)))
+            monos.append(mono_from_vars(a_part + b_part))
     return BasisSpec((BasisBlock("G", (tuple(monos),)),))
 
 
@@ -188,12 +188,8 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
                 for v in range(u, d):
                     mult = one if u == v else two
                     key = (b_idx, u, v)
-                    for m1, c1 in vec[u].terms.items():
-                        for m2, c2 in vec[v].terms.items():
-                            row = rows.setdefault(mono_mul(m1, m2), {})
-                            c = c1 * c2
-                            c = mult if c == 1 else mult * c
-                            row[key] = row[key] + c if key in row else c
+                    row = rows.setdefault(mono_mul(vec[u], vec[v]), {})
+                    row[key] = row[key] + mult if key in row else mult
     constraints = []
     for runs, mono in sorted(zip(map(mono_key, rows), rows)):
         lhs = tuple(sorted(rows[mono].items()))

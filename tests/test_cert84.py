@@ -38,7 +38,7 @@ def test_z3_vector_n2_degenerates():
     assert len(vec) == 6
     sizes = z3_block_sizes(2)
     assert sizes == (2, 2, 0, 0, 1, 0, 1)
-    texts = [p.text() for p in vec]
+    texts = [mono_str(m) for m in vec]
     assert texts == [
         "a[1,1]^2*b[1,1]*b[1,2]",
         "a[2,2]^2*b[1,2]*b[2,2]",
@@ -53,17 +53,17 @@ def test_z3_vectors_match_published_n5():
     vectors = golden.load("z3_n5_84")["vectors"]
     for i in range(1, 6):
         for j in range(i + 1, 6):
-            got = [mono_str(next(iter(p.terms))) for p in z3_vector(5, i, j)]
+            got = [mono_str(m) for m in z3_vector(5, i, j)]
             assert got == vectors[f"{i}_{j}"], (i, j)
 
 
 def test_z2_and_q2_match_published_n5():
     cert = build_certificate84(5)
-    assert [mono_str(next(iter(p.terms))) for p in cert.z2] == \
+    assert [mono_str(m) for m in cert.z2] == \
         golden.load("z2_n5_84")["entries"]
     assert [list(row) for row in cert.q2.rows] == \
         golden.load("q2_n5_84")["rows"]
-    assert cert.z2[0].text() == "a[1,1]^2*b[1,2]^2"
+    assert mono_str(cert.z2[0]) == "a[1,1]^2*b[1,2]^2"
     assert len(cert.z2) == 5 * 4 + 10
 
 
@@ -115,7 +115,7 @@ def test_q1_is_70_identity():
     assert cert.q1.rows == tuple(
         tuple(Fraction(70 if i == j else 0) for j in range(3))
         for i in range(3))
-    assert [p.text() for p in cert.z1] == [
+    assert [mono_str(m) for m in cert.z1] == [
         "a[1,1]^2*b[1,1]^2", "a[2,2]^2*b[2,2]^2", "a[3,3]^2*b[3,3]^2"]
 
 
@@ -292,6 +292,16 @@ def test_symbolic_assembly_has_affine_coefficients():
     cert = build_certificate84(3, params=SYMBOLIC)
     poly = assemble_sos_84(cert)
     assert any(isinstance(c, Affine) for c in poly.terms.values())
-    # substituting the published values afterwards equals building numerically
-    assert poly.substitute_params(published_params()) == \
+    # evaluating at the published values afterwards equals building
+    # numerically, for the grid and for the assembled polynomial
+    vals = published_params()
+
+    def at(c):
+        if isinstance(c, Affine):
+            return c.const + sum(ck * vals[k] for k, ck in c.linear.items())
+        return c
+
+    assert tuple(tuple(at(c) for c in row) for row in cert.q3) == \
+        build_certificate84(3).q3
+    assert Polynomial({m: at(c) for m, c in poly.terms.items()}) == \
         assemble_sos_84(build_certificate84(3))

@@ -54,20 +54,26 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
     # (variable, exponent) pairs: the constraint order, the monomial text
     # and the basis hash must not move with the representation.  The two
     # coefficient files at n above the arc count were written while the
-    # necklace oracle still enumerated every cycle at the full n.
+    # necklace oracle still enumerated every cycle at the full n, and the
+    # last two while certificate vectors held one-term polynomials.
     path = tmp_path / "out"
     for argv, size, digest in (
             (("sdp-export", "--m", "4", "--r", "2", "--n", "3", "--basis",
-              "certificate", "--entry-sum"), 4366,
+              "certificate", "--entry-sum", "--out"), 4366,
              "19ddd637ae2560031e278f49010d4b720aec5bdc767edd5b66329c4e948d27a5"),
-            (("coeff", "--m", "6", "--r", "2", "--n", "2"), 1859,
+            (("coeff", "--m", "6", "--r", "2", "--n", "2", "--out"), 1859,
              "6813f414cebce4c8a97170f1a16102b16db749123edb749e1534b3e45586346b"),
-            (("coeff", "--m", "8", "--r", "4", "--n", "9", "--diagonal-a"),
-             1426184,
+            (("coeff", "--m", "8", "--r", "4", "--n", "9", "--diagonal-a",
+              "--out"), 1426184,
              "20cfb2964dfd096831398a5e2372cb2a17c3ff349390dfcaa39e470225e78400"),
-            (("coeff", "--m", "4", "--r", "2", "--n", "6"), 47085,
-             "7bcf1f5f053a13b455405ee9ad46d2fe72185e5c81c9c082561d0812a913f7b1")):
-        code, _, _ = run(capsys, *argv, "--out", str(path))
+            (("coeff", "--m", "4", "--r", "2", "--n", "6", "--out"), 47085,
+             "7bcf1f5f053a13b455405ee9ad46d2fe72185e5c81c9c082561d0812a913f7b1"),
+            (("sdp-export", "--m", "8", "--r", "4", "--n", "4", "--diagonal-a",
+              "--basis", "certificate", "--out"), 63969,
+             "3acf65c6a867a71783e2e41f849c83974082ff41347c6582ba05097b806386bc"),
+            (("cert42", "--n", "3", "--emit"), 1548,
+             "6f9520ec2490b70504415e67d7807f588b2592a434f0bbd5131de5cd4e5ba08f")):
+        code, _, _ = run(capsys, *argv, str(path))
         blob = path.read_bytes()
         assert code == 0
         assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest), argv

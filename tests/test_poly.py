@@ -144,10 +144,17 @@ def test_affine_normalization_and_equality():
     assert affine(0, {2: 0}) == 0
     a = affine(1, {4: Fraction(1, 2)})
     assert isinstance(a, Affine)
-    assert a.subs({4: 2}) == 2
-    assert a.subs({}) == a
     assert a - a == 0
     assert 2 * a == affine(2, {4: 1})
+
+
+def test_affine_needs_an_x_term():
+    # an x-free form is a plain number (affine() collapses it), so every
+    # Affine is nonzero and zero tests can go by truthiness
+    for const, linear in ((3, {}), (0, {1: 0})):
+        with pytest.raises(ValueError):
+            Affine(const, linear)
+    assert Affine(0, {1: 1}) and param(2)
 
 
 def test_serialization_round_trip():
@@ -181,10 +188,10 @@ def test_swap_and_relabel():
 
 
 def test_quadratic_form_matches_direct_expansion():
-    z = [Polynomial.variable(var("a", 1, 1)), Polynomial.variable(var("b", 1, 2))]
+    z = [(var("a", 1, 1),), (var("b", 1, 2),)]
+    x, y = (Polynomial.monomial(m) for m in z)
     q = [[Fraction(2), Fraction(3)], [Fraction(3), Fraction(5)]]
-    direct = (z[0] * z[0]).scale(2) + (z[0] * z[1]).scale(6) + \
-        (z[1] * z[1]).scale(5)
+    direct = (x * x).scale(2) + (x * y).scale(6) + (y * y).scale(5)
     assert quadratic_form([(q, z)]) == direct
     # every weight here is whole, so every coefficient is stored as an int
     assert all(type(c) is int for c in quadratic_form([(q, z)]).terms.values())
@@ -203,6 +210,7 @@ def polynomials(draw, n=3, max_terms=4, max_deg=8):
     return Polynomial(terms)
 
 
+@settings(derandomize=True)
 @given(polynomials(), polynomials())
 def test_addition_commutes(p, q):
     assert p + q == q + p
@@ -220,20 +228,6 @@ def test_distributivity(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(polynomials(), polynomials())
-def test_parameter_substitution_commutes_with_add(p, q):
-    # attach an affine coefficient to each polynomial, then substitute the
-    # published values before/after adding
-    from tracesos.cert84 import published_params
-
-    vals = published_params()
-    pa = p + Polynomial.monomial(MONO_ONE, affine(1, {9: 2}))
-    qa = q + Polynomial.monomial(MONO_ONE, affine(0, {10: Fraction(1, 2)}))
-    lhs = (pa + qa).substitute_params(vals)
-    rhs = pa.substitute_params(vals) + qa.substitute_params(vals)
-    assert lhs == rhs
-
-
 def quadratic_form_per_pair(grid, z):
     """Reference kernel: z^T M z for one block, each product z_u*z_v built
     as a Polynomial and weighted by q or 2q."""
@@ -242,10 +236,11 @@ def quadratic_form_per_pair(grid, z):
     for u in range(d):
         for v in range(u, d):
             q = grid[u][v]
-            if (q.is_zero() if isinstance(q, Affine) else q == 0):
+            if q == 0:
                 continue
             w = q if v == u else 2 * q
-            for m, c in (z[u] * z[v]).terms.items():
+            product = Polynomial.monomial(z[u]) * Polynomial.monomial(z[v])
+            for m, c in product.terms.items():
                 acc[m] = acc[m] + w * c if m in acc else w * c
     return Polynomial(acc)
 
@@ -302,7 +297,7 @@ def block_lists(draw):
         grid = draw(st.sampled_from(pool))
         if draw(st.booleans()):
             grid = [list(row) for row in grid]
-        z = [draw(polynomials(max_terms=3, max_deg=3)) for _ in grid]
+        z = [draw(monomials) for _ in grid]
         blocks.append((grid, z))
     return blocks
 
@@ -314,22 +309,17 @@ def test_quadratic_form_matches_per_pair_expansion(blocks):
 
 
 def test_quadratic_form_edge_blocks():
-    x = Polynomial.variable(var("a", 1, 2))
+    x = (var("a", 1, 2),)
+    xx = mono_mul(x, x)
     assert quadratic_form([]) == Polynomial.zero()
     assert quadratic_form([((), [])]) == Polynomial.zero()
     shared = [[Fraction(1, 2), param(1)], [param(1), Fraction(0)]]
-    blocks = [(shared, [x, x * x]), ([[3]], [x.scale(Fraction(2, 3))]),
-              (shared, [x * x, Polynomial.monomial(MONO_ONE, 5)]),
-              ([row[:] for row in shared], [Polynomial.zero(), x])]
+    blocks = [(shared, [x, xx]), ([[Fraction(2, 3)]], [x]),
+              (shared, [xx, MONO_ONE]),
+              ([row[:] for row in shared], [MONO_ONE, x]),
+              ([[Fraction(0), Fraction(3)], [Fraction(3), Fraction(1)]],
+               [MONO_ONE, x])]
     assert quadratic_form(blocks) == quadratic_form_reference(blocks)
-    # a rational grid may meet parameters in z, an affine grid may not
-    zp = [Polynomial.monomial(MONO_ONE, param(2)) + x, x]
-    rational = [[Fraction(0), Fraction(3)], [Fraction(3), Fraction(1)]]
-    assert quadratic_form([(rational, zp)]) == \
-        quadratic_form_reference([(rational, zp)])
-    for q in (param(1), affine(1, {3: 2})):
-        grid = [[Fraction(0), q], [q, Fraction(1)]]
-        with pytest.raises(ParameterDegreeOverflow):
-            quadratic_form([([[Fraction(1)]], [x]), (grid, zp)])
-        with pytest.raises(ParameterDegreeOverflow):
-            quadratic_form_reference([(grid, zp)])
+    # weights of opposite sign at one monomial cancel out of the result
+    cancel = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
+    assert quadratic_form([(cancel, [x, x])]) == Polynomial.zero()

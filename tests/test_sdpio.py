@@ -39,6 +39,28 @@ def test_auto_basis_401_single_square():
     assert rationalize_and_verify(prob, {"G": [[1]]}, 1).accepted
 
 
+def test_vectors_and_bases_hold_monomials():
+    """Every certificate and basis vector entry is a monomial: the sorted
+    tuple of its (kind, i, j) variable triples with i <= j."""
+    def is_monomial(m):
+        return (isinstance(m, tuple) and list(m) == sorted(m)
+                and all(isinstance(v, tuple) and len(v) == 3
+                        and v[0] in ("a", "b") and 1 <= v[1] <= v[2]
+                        for v in m))
+
+    c42, c84 = build_certificate42(3), build_certificate84(4)
+    vectors = [c42.z1, *c42.z2_family.values(),
+               c84.z1, c84.z2, *c84.z3_family.values()]
+    for basis in (certificate_basis_42(3), certificate_basis_84(4),
+                  auto_basis(TraceProblem(4, 2, 2)),
+                  auto_basis(TraceProblem(8, 4, 2, diagonal_a=True))):
+        for block in basis.blocks:
+            vectors.extend(block.vectors)
+    entries = [m for vec in vectors for m in vec]
+    assert len(entries) > 100
+    assert all(is_monomial(m) for m in entries)
+
+
 def test_published_certificate_is_feasible_422():
     basis = certificate_basis_42(2)
     prob = build_sdp(TraceProblem(4, 2, 2), basis)
