@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .golden import load as load_golden
@@ -293,18 +293,12 @@ def canonical_equation(coeffs: Mapping[int, Fraction], rhs) -> Equation:
     rhs = Fraction(rhs)
     if not items:
         raise ValueError("empty equation")
-    denom_lcm = 1
-    for _, c in items + [(0, rhs)]:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(rhs.denominator, *(c.denominator for _, c in items))
     ints = [(k, int(c * denom_lcm)) for k, c in items]
     r = int(rhs * denom_lcm)
-    g = 0
-    for _, c in ints:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(r))
-    if g > 1:
-        ints = [(k, c // g) for k, c in ints]
-        r //= g
+    g = gcd(r, *(c for _, c in ints))
+    ints = [(k, c // g) for k, c in ints]
+    r //= g
     if ints[0][1] < 0:
         ints = [(k, -c) for k, c in ints]
         r = -r

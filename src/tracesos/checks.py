@@ -243,15 +243,14 @@ def check_psd_suite() -> CheckResult:
         q2 = cert84.build_q2_84(n)
         split = n * (n - 1)
         try:
-            comp = psdcert.schur_complement(q2, split)
-            ok = psdcert.verify_schur(q2, split).psd
+            cert = psdcert.verify_schur(q2, split)
         except wrong as exc:
             problems.append(f"schur n={n}: {exc}")
             continue
-        diag_ok = all(comp[i][i] == Fraction(52, 5) for i in range(comp.size))
-        off_ok = all(comp[i][j] == 0 for i in range(comp.size)
-                     for j in range(comp.size) if i != j)
-        if not (diag_ok and off_ok and ok):
+        comp = cert.witness["complement"]["rows"]
+        if not (cert.psd and all(x == ("52/5" if i == j else "0")
+                                 for i, row in enumerate(comp)
+                                 for j, x in enumerate(row))):
             problems.append(f"schur n={n}")
     try:
         REPRODUCIBLES["Q3-n5-charpoly"]()

@@ -9,11 +9,15 @@ The general test is verify_ldlt, O(d^3) symmetric elimination whose
 non-PSD verdict keeps a vector v with v^T Q v < 0.  The structured
 routes (Gram factor, Kronecker product, Schur complement, principal
 submatrix) certify the shapes the certificate constructions produce.
-The O(d^4) Berkowitz characteristic polynomial and its sign test (PSD
-iff every e_k, the sum of the k-by-k principal minors, is >= 0) are kept
-for the published polynomial of Q3, the SDP round-then-verify path and
-as an opt-in method.  Berkowitz clears denominators once and runs on
-Python ints; only the d + 1 output coefficients are Fractions.
+The Gram and Kronecker routes check their identity entry by entry,
+comparing each entry of the target with the formula on the factors
+without building the product; Gram does so on Python ints after
+clearing U's denominators once.  The O(d^4) Berkowitz characteristic
+polynomial and its sign test (PSD iff every e_k, the sum of the k-by-k
+principal minors, is >= 0) are kept for the published polynomial of Q3,
+the SDP round-then-verify path and as an opt-in method.  Berkowitz
+clears denominators once in the same way and runs on Python ints; only
+the d + 1 output coefficients are Fractions.
 """
 
 from __future__ import annotations
@@ -81,9 +85,6 @@ class RationalMatrix:
             return self.rows == other.rows
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.rows)
-
     def is_symmetric(self) -> bool:
         nr, nc = self.shape
         if nr != nc:
@@ -95,39 +96,6 @@ class RationalMatrix:
         if not self.is_symmetric():
             raise ValueError("matrix is not symmetric")
         return self
-
-    def transpose(self) -> "RationalMatrix":
-        nr, nc = self.shape
-        return RationalMatrix([[self.rows[i][j] for i in range(nr)]
-                               for j in range(nc)])
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        nr, nk = self.shape
-        nk2, nc = other.shape
-        if nk != nk2:
-            raise ValueError("shape mismatch")
-        orows = other.rows
-        out = []
-        for i in range(nr):
-            srow = self.rows[i]
-            out.append([sum(srow[k] * orows[k][j] for k in range(nk))
-                        for j in range(nc)])
-        return RationalMatrix(out)
-
-    def scale(self, c) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix([[c * x for x in row] for row in self.rows])
-
-    def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        ar, ac = self.shape
-        br, bc = other.shape
-        out = []
-        for i in range(ar * br):
-            row = []
-            for j in range(ac * bc):
-                row.append(self.rows[i // br][j // bc] * other.rows[i % br][j % bc])
-            out.append(row)
-        return RationalMatrix(out)
 
     def submatrix(self, keep_rows: Sequence[int],
                   keep_cols: Optional[Sequence[int]] = None) -> "RationalMatrix":
@@ -142,13 +110,6 @@ class RationalMatrix:
 
     def entry_sum(self) -> Fraction:
         return sum((x for row in self.rows for x in row), Fraction(0))
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.size)), Fraction(0))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def to_jsonable(self):
         obj = {"rows": [[str(x) for x in row] for row in self.rows]}
@@ -182,6 +143,13 @@ class RationalMatrix:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _integer_rows(rows) -> Tuple[List[List[int]], int]:
+    """(L * rows as lists of ints, L), L the lcm of the entry denominators."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in rows], den
+
+
 def charpoly(q: RationalMatrix) -> List[Fraction]:
     """Coefficients of det(xI - Q), highest power first.
 
@@ -191,9 +159,7 @@ def charpoly(q: RationalMatrix) -> List[Fraction]:
     c_k / L^k for each coefficient c_k of det(xI - M).
     """
     d = q.size
-    den = math.lcm(*(x.denominator for row in q.rows for x in row))
-    rows = [[x.numerator * (den // x.denominator) for x in row]
-            for row in q.rows]
+    rows, den = _integer_rows(q.rows)
     p = [1]
     for k in range(1, d + 1):
         col = [rows[i][k - 1] for i in range(k - 1)]
@@ -238,18 +204,24 @@ class PsdCertificate:
 
 def verify_gram_factor(q: RationalMatrix, u: RationalMatrix,
                        scale) -> PsdCertificate:
-    """Certify q == scale * U^T U with scale > 0."""
+    """Certify q == scale * U^T U with scale > 0, entry by entry: with
+    L * U = V in integers, q[i][j] must be scale * (V_i . V_j) / L^2 for
+    the columns V_i, V_j of V."""
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    got = u.transpose().matmul(u).scale(scale)
-    if got.shape != q.shape:
-        raise FactorMismatch(f"shape {got.shape} != {q.shape}")
-    for i in range(q.size):
-        for j in range(q.size):
-            if got[i][j] != q[i][j]:
+    d = u.shape[1]
+    if (d, d) != q.shape:
+        raise FactorMismatch(f"shape {(d, d)} != {q.shape}")
+    rows, den = _integer_rows(u.rows)
+    cols = list(zip(*rows))
+    per = scale / (den * den)
+    for i in range(d):
+        for j in range(d):
+            got = per * sum(a * b for a, b in zip(cols[i], cols[j]))
+            if got != q[i][j]:
                 raise FactorMismatch(
-                    f"entry ({i},{j}): expected {q[i][j]}, factor gives {got[i][j]}")
+                    f"entry ({i},{j}): expected {q[i][j]}, factor gives {got}")
     return PsdCertificate(
         method="gram_factor", psd=True, matrix_hash=q.content_hash(),
         witness={"u": u.to_jsonable(), "scale": str(scale)})
@@ -286,8 +258,10 @@ def verify_tensor_psd(q: RationalMatrix, left: RationalMatrix,
     """Certify q == left (x) right with both factors PSD.  When they are
     not both PSD, q itself is decided by verify_ldlt and that certificate
     is kept, so a NOT PSD verdict always carries a vector witness."""
-    built = left.kron(right)
-    if built.shape != q.shape or built != q:
+    (ar, ac), (br, bc) = left.shape, right.shape
+    if q.shape != (ar * br, ac * bc) or any(
+            q[i][j] != left[i // br][j // bc] * right[i % br][j % bc]
+            for i in range(ar * br) for j in range(ac * bc)):
         raise NotAKroneckerProduct(
             f"target is not the Kronecker product of the given "
             f"{left.shape} and {right.shape} factors")

@@ -23,8 +23,9 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .cert42 import build_certificate42
 from .cert84 import (SYMBOLIC, InconsistentSystem, ParamSystem,
-                     canonical_equation, q3_grid)
+                     build_certificate84, canonical_equation)
 from .necklace import TraceProblem, trace_coeff_necklace
 from .poly import (Affine, Monomial, mono_from_vars, mono_key, mono_mul,
                    mono_str, read_number, runs_str, var)
@@ -59,12 +60,6 @@ class Ansatz:
                 else:
                     fixed.append(((u, v), Fraction(x)))
         return cls(tuple(fixed), tuple(classes))
-
-    @classmethod
-    def fix_all(cls, matrix: RationalMatrix) -> "Ansatz":
-        d = matrix.size
-        return cls(tuple(((u, v), matrix[u][v])
-                         for u in range(d) for v in range(u, d)))
 
 
 @dataclass(frozen=True)
@@ -114,8 +109,6 @@ def auto_basis(p: TraceProblem) -> BasisSpec:
 
 def certificate_basis_42(n: int) -> BasisSpec:
     """The two-block basis of the degree-4 certificate, Gram entries free."""
-    from .cert42 import build_certificate42
-
     cert = build_certificate42(n)
     blocks = [BasisBlock("Q1", (tuple(cert.z1),))]
     if cert.z2_family:
@@ -126,20 +119,19 @@ def certificate_basis_42(n: int) -> BasisSpec:
 
 def certificate_basis_84(n: int) -> BasisSpec:
     """The three-block diagonal-A basis with the published entry classes:
-    Q1 and Q2 pinned, Q3 pinned constants plus the 22 shared parameters."""
-    from .cert84 import build_certificate84
-
-    cert = build_certificate84(n)
+    Q1 and Q2 pinned, Q3 pinned constants plus the 22 shared parameters,
+    all read off the symbolic certificate."""
+    cert = build_certificate84(n, params=SYMBOLIC)
     blocks = [
-        BasisBlock("Q1", (tuple(cert.z1),), Ansatz.fix_all(cert.q1)),
+        BasisBlock("Q1", (tuple(cert.z1),), Ansatz.from_grid(cert.q1.rows)),
     ]
     if cert.z2:
         blocks.append(BasisBlock("Q2", (tuple(cert.z2),),
-                                 Ansatz.fix_all(cert.q2)))
+                                 Ansatz.from_grid(cert.q2.rows)))
     if cert.z3_family:
         blocks.append(BasisBlock(
             "Q3", tuple(tuple(v) for _, v in sorted(cert.z3_family.items())),
-            Ansatz.from_grid(q3_grid(n, params=SYMBOLIC))))
+            Ansatz.from_grid(cert.q3)))
     return BasisSpec(tuple(blocks))
 
 

@@ -79,6 +79,35 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
         assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest), argv
 
 
+def test_psd_certificate_bytes_are_pinned(tmp_path, capsys):
+    # size and SHA-256 of certificates written while the Gram route still
+    # formed scale * U^T U as a matrix
+    from tracesos.cert42 import build_certificate42, build_q1_gram_factor
+    from tracesos.cert84 import build_q2_84
+
+    path = {}
+    for name, mat in (("q1", build_certificate42(4).q1),
+                      ("u", build_q1_gram_factor(4)[0]),
+                      ("q2", build_q2_84(3)),
+                      ("two", build_q2_84(2).submatrix([0, 1]))):
+        path[name] = str(tmp_path / f"{name}.json")
+        Path(path[name]).write_text(json.dumps(mat.to_jsonable()))
+    out = tmp_path / "cert.json"
+    for argv, size, digest in (
+            (("--in", path["q1"], "--method", "gram", "--factor", path["u"],
+              "--scale", "6"), 963,
+             "908433a4f82092797bf8140d0677ebda69c03ab1e76610addcd49d674b7dd9f2"),
+            (("--in", path["q2"], "--method", "schur", "--split", "6"), 905,
+             "6c958b60751ea1fd2097e6ae68c96508253a7faf0f2362f6d79eb977b439b7e9")):
+        code, _, _ = run(capsys, "psd", *argv, "--out", str(out))
+        blob = out.read_bytes()
+        assert code == 0
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest), argv
+    code, _, err = run(capsys, "psd", "--in", path["two"], "--method", "gram",
+                       "--factor", path["u"], "--scale", "6")
+    assert (code, err) == (2, "error: shape (10, 10) != (2, 2)\n")
+
+
 def test_workers_flag_is_gone(capsys):
     for argv in (["coeff", "--m", "4", "--r", "2", "--n", "1", "--workers", "2"],
                  ["verify-all", "--workers", "2"],

@@ -31,8 +31,7 @@ from tracesos.psdcert import (
 def test_matrix_basics():
     m = RationalMatrix([[1, 2], [2, 5]])
     assert m.is_symmetric() and m.size == 2
-    assert m.transpose() == m
-    assert m.entry_sum() == 10 and m.trace() == 6
+    assert m.entry_sum() == 10 and m[0][0] + m[1][1] == 6
     assert m.submatrix([1]).rows == ((Fraction(5),),)
     r = RationalMatrix([[0, 1], [2, 0]])
     assert not r.is_symmetric()
@@ -43,14 +42,14 @@ def test_matrix_basics():
 
 
 def test_charpoly_identity_2x2():
-    coeffs = charpoly(RationalMatrix.identity(2))
+    coeffs = charpoly(RationalMatrix([[1, 0], [0, 1]]))
     assert coeffs == [1, -2, 1]
 
 
 def test_charpoly_sanity_trace_det():
     m = RationalMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     coeffs = charpoly(m)
-    assert coeffs[1] == -m.trace()
+    assert coeffs[1] == -sum(m[i][i] for i in range(m.size))
     # det = (-1)^d * constant coefficient
     det = Fraction(2 * (12 - 1) - 1 * 4)
     assert coeffs[-1] == -det if m.size % 2 else det
@@ -141,7 +140,7 @@ def test_q3_charpoly_matches_published():
     assert [str(c) for c in coeffs] == \
         golden.load("q3_charpoly_n5_84")["coeffs_desc"]
     # trace check: x^23 coefficient is minus the diagonal sum
-    assert coeffs[1] == -624 == -q3.trace()
+    assert coeffs[1] == -624 == -sum(q3[i][i] for i in range(q3.size))
     assert coeffs[-1] == 0  # det 0
 
 
@@ -168,22 +167,50 @@ def test_gram_factor_certificates():
         verify_gram_factor(RationalMatrix([[5]]), RationalMatrix([[1]]), 6)
 
 
+def test_gram_factor_with_fractional_entries():
+    # denominators 2, 3 and 6: U is cleared with L = 6, and U is 2 x 3,
+    # so scale * U^T U is 3 x 3
+    u = RationalMatrix([[Fraction(1, 2), Fraction(-2, 3), 1],
+                        [Fraction(5, 6), 0, Fraction(-7, 6)]])
+    scale = Fraction(5, 4)
+    rows = [[scale * sum(r[i] * r[j] for r in u.rows) for j in range(3)]
+            for i in range(3)]
+    q = RationalMatrix(rows)
+    cert = verify_gram_factor(q, u, scale)
+    assert cert.psd and cert.witness["scale"] == "5/4"
+    assert replay(cert, q).to_jsonable() == cert.to_jsonable()
+    assert [str(x) for x in rows[2]] == ["-85/144", "-5/6", "425/144"]
+    rows[2][1] += Fraction(1, 7)
+    with pytest.raises(FactorMismatch) as exc:
+        verify_gram_factor(RationalMatrix(rows), u, scale)
+    assert str(exc.value) == "entry (2,1): expected -29/42, factor gives -5/6"
+    with pytest.raises(FactorMismatch) as exc:
+        verify_gram_factor(RationalMatrix([[1, 0], [0, 1]]), u, scale)
+    assert str(exc.value) == "shape (3, 3) != (2, 2)"
+
+
 def test_tensor_certificates():
     one = RationalMatrix([[1]])
     assert verify_tensor_psd(one, one, one).psd
     cert = build_certificate42(3)
     left, right = q2_kron_factors(3)
-    assert left.kron(right) == cert.q2
     got = verify_tensor_psd(cert.q2, left, right)
     assert got.psd
     with pytest.raises(NotAKroneckerProduct):
         verify_tensor_psd(RationalMatrix([[1, 0], [0, 2]]), one, one)
+    # the right shape with one entry off
+    rows = [list(row) for row in cert.q2.rows]
+    rows[4][2] += 1
+    with pytest.raises(NotAKroneckerProduct) as exc:
+        verify_tensor_psd(RationalMatrix(rows), left, right)
+    assert str(exc.value) == ("target is not the Kronecker product of the "
+                              "given (2, 2) and (3, 3) factors")
     indefinite = RationalMatrix([[1, 0], [0, -1]])
-    q = indefinite.kron(one)
-    got = verify_tensor_psd(q, indefinite, one)
+    got = verify_tensor_psd(indefinite, indefinite, one)
     assert not got.psd
-    assert quadratic_value(q, got.witness["product_cert"]["witness"]["vector"]) < 0
-    assert replay(got, q).to_jsonable() == got.to_jsonable()
+    assert quadratic_value(
+        indefinite, got.witness["product_cert"]["witness"]["vector"]) < 0
+    assert replay(got, indefinite).to_jsonable() == got.to_jsonable()
     # (-1) (x) (-1) = (1): neither factor is PSD, the product is
     minus = RationalMatrix([[-1]])
     got = verify_tensor_psd(one, minus, minus)
@@ -193,7 +220,7 @@ def test_tensor_certificates():
 
 
 def test_schur_examples():
-    sc = schur_complement(RationalMatrix.identity(2), 1)
+    sc = schur_complement(RationalMatrix([[1, 0], [0, 1]]), 1)
     assert sc.rows == ((Fraction(1),),)
     # one ordered/unordered slice of the degree-8 second matrix
     slice3 = RationalMatrix([[20, 0, 16], [0, 20, 16], [16, 16, 36]])
@@ -259,7 +286,8 @@ def test_submatrix_certificates():
     full = verify_submatrix_psd(q3, list(range(24)))
     assert full.psd and full.nullity == 6
     with pytest.raises(SubmatrixMismatch):
-        verify_submatrix_psd(q3, [0, 1], expected=RationalMatrix.identity(2))
+        verify_submatrix_psd(q3, [0, 1],
+                             expected=RationalMatrix([[1, 0], [0, 1]]))
 
 
 def test_principal_minor_monotonicity_spot_check():
@@ -386,10 +414,10 @@ def symmetric_matrices(draw):
                 for i in range(d)]
     else:
         k = draw(st.integers(0, d))
-        b = RationalMatrix(draw(st.lists(
-            st.lists(SMALL, min_size=d, max_size=d), min_size=k, max_size=k))
-            or [[0] * d])
-        rows = [list(row) for row in b.transpose().matmul(b).rows]
+        b = draw(st.lists(st.lists(SMALL, min_size=d, max_size=d),
+                          min_size=k, max_size=k)) or [[0] * d]
+        rows = [[sum(row[i] * row[j] for row in b) for j in range(d)]
+                for i in range(d)]
     i = draw(st.integers(0, d - 1))
     if kind == "zero_row":
         for j in range(d):
