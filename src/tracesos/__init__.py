@@ -8,16 +8,13 @@ semidefiniteness exactly, and exports feasibility problems for hunting
 new certificates.
 """
 
-from .poly import Affine, Polynomial, affine, param, var
+from .poly import Polynomial, var
 from .necklace import Necklace, TraceProblem
 
 __all__ = [
-    "Affine",
     "Necklace",
     "Polynomial",
     "TraceProblem",
-    "affine",
-    "param",
     "var",
 ]
 

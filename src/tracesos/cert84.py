@@ -11,7 +11,11 @@ Q3's entries are partly fixed constants and partly 22 shared parameters
 x1..x22; the construction reproduces the published identity whenever the
 parameters satisfy an 11-equation linear system, which
 :func:`derive_param_system` re-derives from scratch by coefficient
-matching against the necklace oracle.
+matching against the necklace oracle.  The parameters live in this module
+only: a symbolic Q3 names them by the strings "x1".."x22", and since the
+sum of squares is affine in x it is the pencil S(0) + sum_k x_k*S_k, where
+S_k expands the 0/1 grid E_k of the entries named x_k
+(:func:`q3_pencil`).  Matching reads one equation per monomial off it.
 
 Q3 and its vector are data, not index loops.  Each position of the
 pair-(i, j) vector is the monomial a[p,p]*a[q,q]*b[i,k]*b[j,k] and has
@@ -29,20 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .golden import load as load_golden
 from .necklace import TraceProblem, trace_coeff_necklace
 from .poly import (
-    Affine,
-    Coeff,
     Monomial,
     Polynomial,
-    affine,
     mono_from_vars,
     mono_key,
     mono_str,
-    param,
     quadratic_form,
     var,
 )
@@ -51,6 +51,10 @@ from .psdcert import RationalMatrix
 SYMBOLIC = "symbolic"
 
 PARAM_COUNT = 22
+
+# A Q3 entry: a number, or in a symbolic grid the parameter name "xk".
+Entry = Union[Fraction, str]
+Grid = Tuple[Tuple[Entry, ...], ...]
 
 
 class InvalidDimension(ValueError):
@@ -178,57 +182,64 @@ def _q3_rule(u: Z3Label, v: Z3Label):
     return rule
 
 
-def q3_grid(n: int, params=None) -> Tuple[Tuple[Coeff, ...], ...]:
-    """The (6n-6)-square coefficient grid, numeric or affine in x1..x22,
-    read off :data:`Q3_TABLE` for each pair of labels."""
+def q3_grid(n: int, params=None) -> Grid:
+    """The (6n-6)-square coefficient grid read off :data:`Q3_TABLE` for
+    each pair of labels: Fractions, and for ``SYMBOLIC`` params the
+    table's names "x1".."x22" where x1..x22 stand."""
     if n < 2:
         return ()
     vals = _resolve_params(params)
 
-    def value(rule) -> Coeff:
+    def value(rule) -> Entry:
         if isinstance(rule, int):
             return Fraction(rule)
-        k = int(rule[1:])
-        return vals[k] if vals is not None else param(k)
+        return rule if vals is None else vals[int(rule[1:])]
 
     labels = z3_labels(n, 1, 2)
     return tuple(tuple(value(_q3_rule(u, v)) for v in labels)
                  for u in labels)
 
 
+def q2_labels(n: int) -> List[Tuple[str, int, int]]:
+    """The label of each z2 position: ("o", i, j) for a[i,i]^2*b[i,j]^2
+    over i != j, then ("u", i, j) for a[i,i]*a[j,j]*b[i,j]^2 over i < j."""
+    return ([("o", i, j) for i in range(1, n + 1)
+             for j in range(1, n + 1) if j != i]
+            + [("u", i, j) for i in range(1, n + 1)
+               for j in range(i + 1, n + 1)])
+
+
+def _q2_entry(u, v) -> int:
+    if u == v:
+        return 20 if u[0] == "o" else 36
+    return 16 if u[0] != v[0] and sorted(u[1:]) == sorted(v[1:]) else 0
+
+
 def build_q2_84(n: int) -> RationalMatrix:
-    ordered = [(i, j) for i in range(1, n + 1)
-               for j in range(1, n + 1) if j != i]
-    unordered = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    no, nu = len(ordered), len(unordered)
-    d = no + nu
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for u in range(no):
-        rows[u][u] = Fraction(20)
-    for v in range(nu):
-        rows[no + v][no + v] = Fraction(36)
-    for u, (i, j) in enumerate(ordered):
-        key = (min(i, j), max(i, j))
-        v = unordered.index(key)
-        rows[u][no + v] = Fraction(16)
-        rows[no + v][u] = Fraction(16)
-    labels = [("o", i, j) for (i, j) in ordered] + \
-             [("u", i, j) for (i, j) in unordered]
-    return RationalMatrix(rows, row_labels=labels)
+    """20 and 36 on the diagonal, 16 where an "o" and a "u" label name the
+    same pair."""
+    labels = q2_labels(n)
+    return RationalMatrix([[_q2_entry(u, v) for v in labels] for u in labels],
+                          row_labels=labels)
 
 
 def build_z2_84(n: int) -> List[Monomial]:
     out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j != i:
-                out.append(mono_from_vars([var("a", i, i), var("a", i, i),
-                                           var("b", i, j), var("b", i, j)]))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(mono_from_vars([var("a", i, i), var("a", j, j),
-                                       var("b", i, j), var("b", i, j)]))
+    for s, i, j in q2_labels(n):
+        q = i if s == "o" else j
+        out.append(mono_from_vars([var("a", i, i), var("a", q, q),
+                                   var("b", i, j), var("b", i, j)]))
     return out
+
+
+class LinearForm(dict):
+    """const + sum_k c_k*x_k stored as {0: const, k: c_k}, each c_k nonzero."""
+
+    def __str__(self):
+        parts = [str(self[0])] if self[0] else []
+        parts += [f"x{k}" if c == 1 else f"{c}*x{k}"
+                  for k, c in sorted(self.items()) if k]
+        return " + ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -238,30 +249,37 @@ class Certificate84:
     z1: List[Monomial]
     q2: RationalMatrix
     z2: List[Monomial]
-    q3: Tuple[Tuple[Coeff, ...], ...]
+    q3: Grid
     z3_family: Dict[Tuple[int, int], List[Monomial]]
 
     @property
     def symbolic(self) -> bool:
-        return any(isinstance(x, Affine) for row in self.q3 for x in row)
+        return any(isinstance(x, str) for row in self.q3 for x in row)
 
-    def q3_matrix(self) -> RationalMatrix:
+    def _require_numeric(self) -> None:
         if self.symbolic:
             raise ValueError("Q3 carries unresolved parameters")
+
+    def q3_matrix(self) -> RationalMatrix:
+        self._require_numeric()
         return RationalMatrix(self.q3)
 
     def entry_sum(self):
-        total = self.q1.entry_sum() + self.q2.entry_sum()
-        q3_total: Coeff = Fraction(0)
+        """The sum of all entries of the certificate's matrices, Q3 counted
+        once per pair: a Fraction, or a LinearForm if symbolic."""
+        pairs = comb(self.n, 2)
+        form = LinearForm({0: self.q1.entry_sum() + self.q2.entry_sum()})
         for row in self.q3:
             for x in row:
-                q3_total = q3_total + x
-        return total + comb(self.n, 2) * q3_total
+                k, c = (int(x[1:]), 1) if isinstance(x, str) else (0, x)
+                form[k] = form.get(k, 0) + pairs * c
+        return form if self.symbolic else form[0]
 
 
 def build_certificate84(n: int, params=None) -> Certificate84:
     """Assemble all matrices and vectors; ``params`` is a mapping, None for
-    the published values, or the string "symbolic" for affine entries.
+    the published values, or the string "symbolic" for Q3 entries named
+    "x1".."x22".
 
     n = 1 degenerates to the first summand alone (the later vectors are
     empty), which already matches the coefficient there.
@@ -281,6 +299,7 @@ def build_certificate84(n: int, params=None) -> Certificate84:
 
 
 def assemble_sos_84(cert: Certificate84) -> Polynomial:
+    cert._require_numeric()
     return quadratic_form([(cert.q1.rows, cert.z1), (cert.q2.rows, cert.z2)]
                           + [(cert.q3, z3) for z3 in cert.z3_family.values()])
 
@@ -327,11 +346,6 @@ class ParamSystem:
     @classmethod
     def from_equations(cls, eqs) -> "ParamSystem":
         return cls(tuple(sorted(set(eqs))))
-
-    @classmethod
-    def from_affine_forms(cls, forms: Sequence[Affine]) -> "ParamSystem":
-        return cls.from_equations(
-            canonical_equation(f.linear, -f.const) for f in forms)
 
     @classmethod
     def published(cls) -> "ParamSystem":
@@ -406,12 +420,10 @@ class ParamSystem:
                 return False
         return True
 
-    def reduce_affine(self, form):
-        """Eliminate pivot variables of this system from an affine form."""
-        if not isinstance(form, Affine):
-            return Fraction(form)
-        lin = dict(form.linear)
-        const = form.const
+    def reduce_affine(self, form: LinearForm):
+        """Eliminate pivot variables of this system from a LinearForm; the
+        constant alone, as a Fraction, if no x-term survives."""
+        lin = {k: Fraction(c) for k, c in form.items()}
         for terms, rhs in self.rref():
             pivot_k, pivot_c = terms[0]
             f = lin.get(pivot_k)
@@ -420,8 +432,9 @@ class ParamSystem:
             f = f / pivot_c
             for k, c in terms:
                 lin[k] = lin.get(k, Fraction(0)) - f * c
-            const += f * rhs
-        return affine(const, lin)
+            lin[0] += f * rhs
+        reduced = LinearForm((k, c) for k, c in lin.items() if c or not k)
+        return reduced if len(reduced) > 1 else reduced[0]
 
     def to_jsonable(self):
         return {"equations": [
@@ -432,24 +445,41 @@ class ParamSystem:
         return "\n".join(equation_str(eq) for eq in self.equations)
 
 
+def q3_pencil(n: int) -> Dict[int, Grid]:
+    """The 0/1 grid E_k of the Q3 entries named x_k, for k = 1..22, so that
+    Q3(x) = Q3(0) + sum_k x_k*E_k."""
+    names = q3_grid(n, SYMBOLIC)
+    return {k: tuple(tuple(int(x == f"x{k}") for x in row) for row in names)
+            for k in range(1, PARAM_COUNT + 1)}
+
+
 def coefficient_match_equations(n: int) -> ParamSystem:
     """Every linear condition the identity forces on x1..x22 at size n.
 
-    Expands the certificate with symbolic parameters, subtracts the
-    necklace oracle's coefficient polynomial, and turns each surviving
-    coefficient into a canonical linear equation.  Below n = 4 some entry
-    classes never meet a monomial, so the system comes out weaker.  A
-    parameter-free coefficient is named at its lowest monomial.
+    The squares minus the necklace oracle's coefficient polynomial are
+    S(0) + sum_k x_k*S_k: S(0) assembles the certificate at x = 0 and
+    subtracts the target, S_k expands E_k (:func:`q3_pencil`) against the
+    z3 family.  Each monomial gives one canonical equation.  Below n = 4
+    some entry classes never meet a monomial, so the system comes out
+    weaker.  A parameter-free coefficient is named at its lowest monomial.
     """
-    cert = build_certificate84(n, params=SYMBOLIC)
-    target = trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True))
-    diff = assemble_sos_84(cert) - target
-    fixed = [m for m, c in diff.terms.items() if not isinstance(c, Affine)]
+    cert = build_certificate84(
+        n, params=dict.fromkeys(range(1, PARAM_COUNT + 1), 0))
+    s0 = assemble_sos_84(cert) - trace_coeff_necklace(
+        TraceProblem(8, 4, n, diagonal_a=True))
+    linear: Dict[Monomial, Dict[int, int]] = {}
+    for k, e_k in q3_pencil(n).items():
+        s_k = quadratic_form([(e_k, z3) for z3 in cert.z3_family.values()])
+        for m, c in s_k.terms.items():
+            linear.setdefault(m, {})[k] = c
+    fixed = [m for m in s0.terms if m not in linear]
     if fixed:
         mono = min(fixed, key=mono_key)
         raise InconsistentSystem(f"parameter-free coefficient "
-                                 f"{diff.terms[mono]} left at {mono_str(mono)}")
-    return ParamSystem.from_affine_forms(diff.terms.values())
+                                 f"{s0.terms[mono]} left at {mono_str(mono)}")
+    return ParamSystem.from_equations(
+        canonical_equation(coeffs, -s0.terms.get(m, 0))
+        for m, coeffs in linear.items())
 
 
 def derive_param_system(n: int) -> ParamSystem:

@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .poly import (Coeff, Monomial, Polynomial, mono_from_vars, mono_mul,
+from .poly import (Monomial, Polynomial, Scalar, mono_from_vars, mono_mul,
                    sum_of_products, var)
 
 DEFAULT_BUDGET = 10**8
@@ -245,7 +245,7 @@ def expand_square_formula(m: int, n: int) -> Polynomial:
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"m must be a positive even integer, got {m}")
     half = m // 2
-    acc: Dict[Monomial, Coeff] = {}
+    acc: Dict[Monomial, Scalar] = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             walks = []

@@ -2,9 +2,7 @@
 
 Variables are the entries a[i,j] and b[i,j] of two n-by-n symmetric
 matrices, stored with canonical index order i <= j so that a[2,1] and
-a[1,2] denote the same variable.  Coefficients are exact rationals or
-affine forms ``const + sum_k c_k*x_k`` in tuning parameters x1, x2, ...
-(degree > 1 in the parameters is a construction error, not a feature).
+a[1,2] denote the same variable.  Coefficients are exact rationals.
 
 A polynomial maps monomials to nonzero coefficients; the zero polynomial
 has an empty term map.  A monomial is the sorted tuple of its variables,
@@ -27,14 +25,6 @@ Monomial = Tuple[Var, ...]
 Scalar = Union[int, Fraction]
 
 MONO_ONE: Monomial = ()
-
-
-class ParameterDegreeOverflow(ValueError):
-    """A product would create a degree-2 term in the x-parameters."""
-
-
-class UnboundParameter(ValueError):
-    """A scalar was requested while x-parameters are still unresolved."""
 
 
 def var(kind: str, i: int, j: int) -> Var:
@@ -131,115 +121,12 @@ def read_number(value, where: str) -> Fraction:
         raise ValueError(f"{where}: {exc}") from None
 
 
-class Affine:
-    """Affine form const + sum c_k*x_k; always carries at least one x-term,
-    so every Affine is nonzero and truthy.
-
-    Purely numeric values are represented by plain int/Fraction, never by
-    an Affine with empty linear part (see :func:`affine`).
-    """
-
-    __slots__ = ("const", "linear")
-
-    def __init__(self, const, linear: Mapping[int, Fraction]):
-        self.const = Fraction(const)
-        self.linear = {k: Fraction(c) for k, c in linear.items() if c != 0}
-        if not self.linear:
-            raise ValueError("an Affine needs an x-term; use affine() for "
-                             "x-free values")
-
-    def __eq__(self, other):
-        if isinstance(other, Affine):
-            return self.const == other.const and self.linear == other.linear
-        if isinstance(other, (int, Fraction)):
-            return not self.linear and self.const == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.const, tuple(sorted(self.linear.items()))))
-
-    def __add__(self, other):
-        if isinstance(other, Affine):
-            lin = dict(self.linear)
-            for k, c in other.linear.items():
-                lin[k] = lin.get(k, Fraction(0)) + c
-            return affine(self.const + other.const, lin)
-        if isinstance(other, (int, Fraction)):
-            return affine(self.const + other, self.linear)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Affine(-self.const, {k: -c for k, c in self.linear.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Affine):
-            raise ParameterDegreeOverflow(
-                "product of two parameter-carrying coefficients"
-            )
-        if isinstance(other, (int, Fraction)):
-            return affine(self.const * other,
-                          {k: c * other for k, c in self.linear.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        parts = [] if self.const == 0 else [str(self.const)]
-        for k, c in sorted(self.linear.items()):
-            if c == 1:
-                parts.append(f"x{k}")
-            else:
-                parts.append(f"{c}*x{k}")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"Affine({self})"
-
-
-def affine(const, linear: Mapping[int, Fraction]):
-    """Build an affine coefficient, collapsing to a scalar if x-free."""
-    lin = {k: Fraction(c) for k, c in linear.items() if c != 0}
-    if not lin:
-        return Fraction(const)
-    return Affine(const, lin)
-
-
-def param(k: int) -> Affine:
-    """The bare parameter x_k as a coefficient."""
-    return Affine(0, {k: Fraction(1)})
-
-
-Coeff = Union[int, Fraction, Affine]
-
-
-def coeff_to_jsonable(c: Coeff):
-    if isinstance(c, Affine):
-        return {"const": str(c.const),
-                "linear": {f"x{k}": str(v) for k, v in sorted(c.linear.items())}}
-    return str(c)
-
-
-def coeff_from_jsonable(obj) -> Coeff:
-    if isinstance(obj, dict):
-        lin = {int(k.lstrip("x")): Fraction(v) for k, v in obj["linear"].items()}
-        return affine(Fraction(obj["const"]), lin)
-    return Fraction(obj)
-
-
 class Polynomial:
     """Immutable-by-convention sparse polynomial with exact coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         if terms:
             self.terms = {m: c for m, c in terms.items() if c}
         else:
@@ -250,7 +137,7 @@ class Polynomial:
         return cls()
 
     @classmethod
-    def monomial(cls, m: Monomial, c: Coeff = 1) -> "Polynomial":
+    def monomial(cls, m: Monomial, c: Scalar = 1) -> "Polynomial":
         return cls({m: c})
 
     @classmethod
@@ -264,9 +151,6 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self.terms == other.terms
         return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("Polynomial is not hashable")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -305,58 +189,26 @@ class Polynomial:
         return sum_of_products([(self, other)])
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Affine)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c: Coeff) -> "Polynomial":
+    def scale(self, c: Scalar) -> "Polynomial":
         if not c:
             return Polynomial.zero()
         return Polynomial({m: c * cc for m, cc in self.terms.items()})
 
-    def variables(self) -> set:
-        return {v for m in self.terms for v in m}
-
-    def substitute(self, assignment: Mapping[Var, Scalar]):
-        """Evaluate variables at exact rationals.
-
-        Returns an exact Fraction when the assignment covers every variable
-        of the polynomial (raising UnboundParameter if x-parameters remain),
-        and a reduced Polynomial otherwise.
-        """
-        assign = {var(*k) if isinstance(k, tuple) and len(k) == 3 else k: Fraction(v)
-                  for k, v in assignment.items()}
-        full = self.variables() <= set(assign)
-        if full:
-            total = Fraction(0)
-            for m, c in self.terms.items():
-                if isinstance(c, Affine):
-                    raise UnboundParameter(
-                        f"parameters {sorted(c.linear)} remain in scalar request"
-                    )
-                val = Fraction(c)
-                for v in m:
-                    val *= assign[v]
-                total += val
-            return total
-        out: Dict[Monomial, Coeff] = {}
+    def substitute(self, assignment: Mapping[Var, Scalar]) -> Fraction:
+        """Evaluate at exact rationals; the assignment must cover every
+        variable of the polynomial (a missing one raises KeyError)."""
+        assign = {var(*k): Fraction(v) for k, v in assignment.items()}
+        total = Fraction(0)
         for m, c in self.terms.items():
-            scalar = Fraction(1)
-            rest = []
+            val = Fraction(c)
             for v in m:
-                if v in assign:
-                    scalar *= assign[v]
-                else:
-                    rest.append(v)
-            if scalar == 0:
-                continue
-            key = tuple(rest)
-            cc = c * scalar
-            if key in out:
-                out[key] = out[key] + cc
-            else:
-                out[key] = cc
-        return Polynomial(out)
+                val *= assign[v]
+            total += val
+        return total
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
@@ -367,7 +219,7 @@ class Polynomial:
         parts = []
         for m, c in self.sorted_terms():
             cs = str(c)
-            if isinstance(c, Affine) or "/" in cs or "-" in cs[1:]:
+            if "/" in cs or "-" in cs[1:]:
                 cs = f"({cs})"
             if m == MONO_ONE:
                 parts.append(cs)
@@ -381,11 +233,11 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
     def to_jsonable(self):
-        return [[mono_str(m), coeff_to_jsonable(c)] for m, c in self.sorted_terms()]
+        return [[mono_str(m), str(c)] for m, c in self.sorted_terms()]
 
     @classmethod
     def from_jsonable(cls, obj) -> "Polynomial":
-        return cls({parse_monomial(ms): coeff_from_jsonable(cs) for ms, cs in obj})
+        return cls({parse_monomial(ms): Fraction(cs) for ms, cs in obj})
 
 
 def swap_ab(p: Polynomial) -> Polynomial:
@@ -400,7 +252,7 @@ def swap_ab(p: Polynomial) -> Polynomial:
 
 def relabel(p: Polynomial, perm: Mapping[int, int]) -> Polynomial:
     """Apply a permutation of the index set [n] to every variable."""
-    out: Dict[Monomial, Coeff] = {}
+    out: Dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
         key = mono_from_vars(var(k, perm.get(i, i), perm.get(j, j))
                              for k, i, j in m)
@@ -413,7 +265,7 @@ def relabel(p: Polynomial, perm: Mapping[int, int]) -> Polynomial:
 
 def sum_of_products(pairs) -> Polynomial:
     """Expand the sum of p*q over ``(p, q)`` pairs into one polynomial."""
-    acc: Dict[Monomial, Coeff] = {}
+    acc: Dict[Monomial, Scalar] = {}
     for p, q in pairs:
         for m1, c1 in p.terms.items():
             for m2, c2 in q.terms.items():
@@ -424,7 +276,7 @@ def sum_of_products(pairs) -> Polynomial:
     return Polynomial(acc)
 
 
-def _whole(c: Coeff) -> Coeff:
+def _whole(c: Scalar) -> Scalar:
     """A Fraction with denominator 1 as an int; any other value unchanged."""
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
@@ -432,7 +284,7 @@ def _whole(c: Coeff) -> Coeff:
 def quadratic_form(blocks) -> Polynomial:
     """Expand the sum of z^T M z over ``(grid, z)`` blocks into one polynomial.
 
-    A grid is any 2D-indexable of numeric/affine entries, assumed symmetric
+    A grid is any 2D-indexable of rational entries, assumed symmetric
     (off-diagonal entries count twice), and z a list of monomials as long
     as the grid.  Each grid object's weights (u, v, q or 2q) are listed once
     per call, a whole number as an int, and shared by every block passing
@@ -440,7 +292,7 @@ def quadratic_form(blocks) -> Polynomial:
     product of its two monomials.
     """
     weights: Dict[int, tuple] = {}  # id -> (grid, weights); holding grid pins id
-    acc: Dict[Monomial, Coeff] = {}
+    acc: Dict[Monomial, Scalar] = {}
     for grid, z in blocks:
         if id(grid) not in weights:
             weights[id(grid)] = (grid, [

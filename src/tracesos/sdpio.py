@@ -27,8 +27,8 @@ from .cert42 import build_certificate42
 from .cert84 import (SYMBOLIC, InconsistentSystem, ParamSystem,
                      build_certificate84, canonical_equation)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import (Affine, Monomial, mono_from_vars, mono_key, mono_mul,
-                   mono_str, read_number, runs_str, var)
+from .poly import (Monomial, mono_from_vars, mono_key, mono_mul, mono_str,
+                   read_number, runs_str, var)
 from .psdcert import PsdCertificate, RationalMatrix, verify_charpoly_signs
 
 
@@ -45,18 +45,15 @@ class Ansatz:
 
     @classmethod
     def from_grid(cls, grid) -> "Ansatz":
-        """Read an affine grid: numeric entries pin, single-parameter
-        entries join the class named after their parameter."""
+        """Read a grid: numeric entries pin, and an entry that names a
+        parameter ("x1".."x22") joins the class of that name."""
         fixed, classes = [], []
         d = len(grid)
         for u in range(d):
             for v in range(u, d):
                 x = grid[u][v]
-                if isinstance(x, Affine):
-                    (k, c), = x.linear.items()
-                    if c != 1 or x.const != 0:
-                        raise ValueError("grid entry is not a bare parameter")
-                    classes.append(((u, v), f"x{k}"))
+                if isinstance(x, str):
+                    classes.append(((u, v), x))
                 else:
                     fixed.append(((u, v), Fraction(x)))
         return cls(tuple(fixed), tuple(classes))

@@ -10,6 +10,7 @@ from tracesos.cert84 import (
     Certificate84,
     InconsistentSystem,
     InvalidDimension,
+    LinearForm,
     ParamSystem,
     assemble_sos_84,
     build_certificate84,
@@ -19,13 +20,15 @@ from tracesos.cert84 import (
     equation_str,
     published_params,
     q3_grid,
+    q3_pencil,
     z3_block_sizes,
     z3_restriction_indices,
     z3_vector,
 )
 from tracesos.necklace import TraceProblem, trace_coeff_matrix, \
     trace_coeff_necklace
-from tracesos.poly import Affine, Polynomial, mono_from_vars, mono_str, var
+from tracesos.poly import Polynomial, mono_from_vars, mono_str, \
+    quadratic_form, var
 
 
 def test_block_sizes_sum():
@@ -83,12 +86,10 @@ def test_q3_symbolic_matches_published_pattern():
     for i in range(24):
         for j in range(24):
             x = grid[i][j]
-            if isinstance(x, Affine):
-                (k, c), = x.linear.items()
-                assert c == 1 and x.const == 0
-                assert f"x{k}" == want[i][j], (i, j)
-            else:
+            if isinstance(x, str):
                 assert x == want[i][j], (i, j)
+            else:
+                assert type(x) is Fraction and x == want[i][j], (i, j)
 
 
 def test_q3_is_structurally_symmetric():
@@ -160,7 +161,9 @@ def test_entry_sums():
 
 def test_symbolic_entry_sum_reduces_to_constant():
     sym = build_certificate84(5, params=SYMBOLIC).entry_sum()
-    assert isinstance(sym, Affine)
+    assert isinstance(sym, LinearForm)
+    assert str(build_certificate84(2, params=SYMBOLIC).entry_sum()) == \
+        "824 + 4*x1 + 4*x2 + 2*x3 + 4*x4 + 2*x9 + 2*x10"
     system = derive_param_system(5)
     assert system.reduce_affine(sym) == 70 * 5**4
 
@@ -189,6 +192,18 @@ def test_param_check_names_first_failed_condition(monkeypatch):
     published = ParamSystem.published()
     weaker = ParamSystem.from_equations(published.equations[1:])
     monkeypatch.setattr(ParamSystem, "published", classmethod(lambda cls: weaker))
+    result = checks.check_param_system()
+    assert not result.ok
+    assert result.detail == \
+        "derived system (n=5): not equivalent to the published system"
+
+
+def test_renamed_q3_parameter_fails_the_param_check(monkeypatch):
+    # x7 at block pair (1, 3) renamed to x8: the derivation still succeeds
+    # but its system is no longer the published one
+    from tracesos import cert84, checks
+
+    monkeypatch.setitem(cert84.Q3_TABLE, (1, 3), "x8")
     result = checks.check_param_system()
     assert not result.ok
     assert result.detail == \
@@ -288,20 +303,29 @@ def test_n4_identity_still_holds_under_any_system_solution():
             trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True)), n
 
 
-def test_symbolic_assembly_has_affine_coefficients():
-    cert = build_certificate84(3, params=SYMBOLIC)
-    poly = assemble_sos_84(cert)
-    assert any(isinstance(c, Affine) for c in poly.terms.values())
-    # evaluating at the published values afterwards equals building
-    # numerically, for the grid and for the assembled polynomial
+def test_pencil_at_published_x_is_the_assembly():
+    # Q3(x) = Q3(0) + sum_k x_k*E_k, and so the squares are
+    # S(0) + sum_k x_k*S_k, with S_k the z3 family expanded against E_k
     vals = published_params()
+    zero = dict.fromkeys(range(1, 23), 0)
+    for n in (3, 4):
+        cert0 = build_certificate84(n, params=zero)
+        pencil = q3_pencil(n)
+        total = assemble_sos_84(cert0)
+        grid = [list(row) for row in cert0.q3]
+        for k, e_k in pencil.items():
+            total = total + vals[k] * quadratic_form(
+                [(e_k, z3) for z3 in cert0.z3_family.values()])
+            grid = [[x + vals[k] * e for x, e in zip(row, e_row)]
+                    for row, e_row in zip(grid, e_k)]
+        cert = build_certificate84(n)
+        assert total == assemble_sos_84(cert), n
+        assert tuple(map(tuple, grid)) == cert.q3, n
 
-    def at(c):
-        if isinstance(c, Affine):
-            return c.const + sum(ck * vals[k] for k, ck in c.linear.items())
-        return c
 
-    assert tuple(tuple(at(c) for c in row) for row in cert.q3) == \
-        build_certificate84(3).q3
-    assert Polynomial({m: at(c) for m, c in poly.terms.items()}) == \
-        assemble_sos_84(build_certificate84(3))
+def test_symbolic_certificate_is_refused():
+    cert = build_certificate84(3, params=SYMBOLIC)
+    assert cert.symbolic and not build_certificate84(3).symbolic
+    for use in (assemble_sos_84, Certificate84.q3_matrix):
+        with pytest.raises(ValueError, match="Q3 carries unresolved parameters"):
+            use(cert)

@@ -54,8 +54,9 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
     # (variable, exponent) pairs: the constraint order, the monomial text
     # and the basis hash must not move with the representation.  The two
     # coefficient files at n above the arc count were written while the
-    # necklace oracle still enumerated every cycle at the full n, and the
-    # last two while certificate vectors held one-term polynomials.
+    # necklace oracle still enumerated every cycle at the full n, the
+    # next two while certificate vectors held one-term polynomials, and
+    # the last two while Q3 parameters were affine polynomial coefficients.
     path = tmp_path / "out"
     for argv, size, digest in (
             (("sdp-export", "--m", "4", "--r", "2", "--n", "3", "--basis",
@@ -72,7 +73,11 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
               "--basis", "certificate", "--out"), 63969,
              "3acf65c6a867a71783e2e41f849c83974082ff41347c6582ba05097b806386bc"),
             (("cert42", "--n", "3", "--emit"), 1548,
-             "6f9520ec2490b70504415e67d7807f588b2592a434f0bbd5131de5cd4e5ba08f")):
+             "6f9520ec2490b70504415e67d7807f588b2592a434f0bbd5131de5cd4e5ba08f"),
+            (("cert84", "--n", "3", "--params", "symbolic", "--emit"), 1653,
+             "c5837930b6ba5a761791b3c799d2592433e01f99962b5816edde4cadc175e956"),
+            (("paramsys", "--n", "5", "--emit"), 834,
+             "8923024f92fc1046f78e1b83f1601257370434c846eca9a9d85cb74f0f491fd1")):
         code, _, _ = run(capsys, *argv, str(path))
         blob = path.read_bytes()
         assert code == 0

@@ -11,7 +11,6 @@ from tracesos.cert84 import InconsistentSystem, derive_param_system, \
     build_certificate84, published_params
 from tracesos.necklace import TraceProblem, trace_coeff_necklace
 from tracesos.sdpio import (
-    Ansatz,
     BasisBlock,
     BasisSpec,
     RationalizationFailed,
@@ -255,13 +254,6 @@ def test_rationalization_rounds_to_nearby_rationals():
     report = rationalize_and_verify(prob, {"G": [[1.0000000001]]}, 10**4)
     assert report.accepted
     assert report.blocks["G"][0][0] == 1
-
-
-def test_ansatz_from_grid_rejects_general_affine():
-    from tracesos.poly import affine
-
-    with pytest.raises(ValueError):
-        Ansatz.from_grid([[affine(1, {2: 2})]])
 
 
 def test_basis_hash_changes_with_content():
