@@ -337,9 +337,24 @@ def equation_str(eq: Equation) -> str:
     return " + ".join(parts).replace("+ -", "- ") + f" = {rhs}"
 
 
+def _form(eq: Equation) -> Dict[int, Fraction]:
+    """The equation sum c_k*x_k = rhs as the form {0: -rhs, k: c_k}."""
+    return {k: Fraction(c) for k, c in ((0, -eq[1]), *eq[0])}
+
+
+def _eliminate(form, row, k: int) -> Dict[int, Fraction]:
+    """form minus form[k] times the pivot row of x_k, zeros dropped."""
+    f = form.get(k)
+    if not f:
+        return form
+    return {v: c for v in form.keys() | row.keys()
+            if (c := form.get(v, 0) - f * row.get(v, 0))}
+
+
 @dataclass(frozen=True)
 class ParamSystem:
-    """A set of integer-canonical affine equations in x1..x22."""
+    """A set of integer-canonical affine equations in x1..x22; rank,
+    equivalence and implication all read one elimination, _pivot_rows."""
 
     equations: Tuple[Equation, ...]
 
@@ -356,47 +371,31 @@ class ParamSystem:
             eqs.append(canonical_equation(coeffs, e["rhs"]))
         return cls.from_equations(eqs)
 
-    def rref(self) -> Tuple[Tuple[Tuple[Tuple[int, Fraction], ...], Fraction], ...]:
-        """Reduced row echelon form, variables eliminated in index order.
-
-        The result is canonical for the solution set, so two systems are
-        equivalent iff their rref tuples are equal.
-        """
-        rows = [[{k: Fraction(c) for k, c in terms}, Fraction(rhs)]
-                for terms, rhs in self.equations]
-        used: set = set()
-        pivot_rows = []
+    def _pivot_rows(self) -> Dict[int, Dict[int, Fraction]]:
+        """Gauss-Jordan in index order: for each pivot variable k its reduced
+        row, a form {0: const, k: 1, ...} (f = 0) with no other pivot."""
+        rows = [_form(eq) for eq in self.equations]
+        pivots: Dict[int, Dict[int, Fraction]] = {}
         for k in range(1, PARAM_COUNT + 1):
-            src_i = next((i for i, r in enumerate(rows)
-                          if i not in used and r[0].get(k)), None)
-            if src_i is None:
+            src = next((r for r in rows if r.get(k)), None)
+            if src is None:
                 continue
-            used.add(src_i)
-            src = rows[src_i]
-            piv = src[0][k]
-            src[0] = {v: c / piv for v, c in src[0].items()}
-            src[1] = src[1] / piv
-            for i, r in enumerate(rows):
-                if i == src_i:
-                    continue
-                f = r[0].get(k)
-                if not f:
-                    continue
-                new = dict(r[0])
-                for v, c in src[0].items():
-                    nv = new.get(v, Fraction(0)) - f * c
-                    if nv:
-                        new[v] = nv
-                    else:
-                        new.pop(v, None)
-                r[0] = new
-                r[1] -= f * src[1]
-            pivot_rows.append(src)
-        for i, r in enumerate(rows):
-            if i not in used and not r[0] and r[1] != 0:
-                raise InconsistentSystem("elimination reached 0 = nonzero")
-        return tuple(sorted((tuple(sorted(r[0].items())), r[1])
-                            for r in pivot_rows))
+            rows.remove(src)
+            row = {v: c / src[k] for v, c in src.items()}
+            rows = [_eliminate(r, row, k) for r in rows]
+            pivots = {p: _eliminate(r, row, k) for p, r in pivots.items()}
+            pivots[k] = row
+        if any(any(r.values()) for r in rows):
+            raise InconsistentSystem("elimination reached 0 = nonzero")
+        return pivots
+
+    def rref(self) -> Tuple[Tuple[Tuple[Tuple[int, Fraction], ...], Fraction], ...]:
+        """Reduced row echelon form, variables eliminated in index order;
+        canonical for the solution set, so equal iff the systems are
+        equivalent."""
+        return tuple(sorted((tuple(sorted((v, c) for v, c in row.items() if v)),
+                             -row.get(0, Fraction(0)))
+                            for row in self._pivot_rows().values()))
 
     @property
     def rank(self) -> int:
@@ -409,9 +408,12 @@ class ParamSystem:
         return eq in self.equations
 
     def implies(self, eq: Equation) -> bool:
-        """True iff eq holds on every solution of this system."""
-        joined = ParamSystem.from_equations(self.equations + (eq,))
-        return joined.rref() == self.rref()
+        """True iff eq holds on every solution of this system: the pivot
+        rows reduce its form to zero."""
+        form = _form(eq)
+        for k, row in self._pivot_rows().items():
+            form = _eliminate(form, row, k)
+        return not any(form.values())
 
     def satisfied_by(self, values: Mapping[int, Fraction]) -> bool:
         for terms, rhs in self.equations:
@@ -419,22 +421,6 @@ class ParamSystem:
             if total != rhs:
                 return False
         return True
-
-    def reduce_affine(self, form: LinearForm):
-        """Eliminate pivot variables of this system from a LinearForm; the
-        constant alone, as a Fraction, if no x-term survives."""
-        lin = {k: Fraction(c) for k, c in form.items()}
-        for terms, rhs in self.rref():
-            pivot_k, pivot_c = terms[0]
-            f = lin.get(pivot_k)
-            if not f:
-                continue
-            f = f / pivot_c
-            for k, c in terms:
-                lin[k] = lin.get(k, Fraction(0)) - f * c
-            lin[0] += f * rhs
-        reduced = LinearForm((k, c) for k, c in lin.items() if c or not k)
-        return reduced if len(reduced) > 1 else reduced[0]
 
     def to_jsonable(self):
         return {"equations": [

@@ -36,8 +36,7 @@ from operator import itemgetter
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .poly import (Monomial, Polynomial, Scalar, mono_from_vars, mono_mul,
-                   sum_of_products, var)
+from .poly import Monomial, Polynomial, mono_from_vars, sum_of_products, var
 
 DEFAULT_BUDGET = 10**8
 
@@ -245,19 +244,16 @@ def expand_square_formula(m: int, n: int) -> Polynomial:
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"m must be a positive even integer, got {m}")
     half = m // 2
-    acc: Dict[Monomial, Scalar] = {}
+    walk_sums = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            walks = []
+            walks = Counter()
             for mids in itertools.product(range(1, n + 1), repeat=half - 1):
                 seq = (i, *mids, j)
-                walks.append(mono_from_vars(
-                    var("a", seq[t], seq[t + 1]) for t in range(half)))
-            for w1 in walks:
-                for w2 in walks:
-                    key = mono_mul(w1, w2)
-                    acc[key] = acc.get(key, 0) + 1
-    return Polynomial(acc)
+                walks[mono_from_vars(var("a", seq[t], seq[t + 1])
+                                     for t in range(half))] += 1
+            walk_sums.append(Polynomial(walks))
+    return sum_of_products((w, w) for w in walk_sums)
 
 
 def word_trace(word: Iterable[str], n: int, diagonal_a: bool = False) -> Polynomial:

@@ -7,8 +7,9 @@ the trust path.
 
 The general test is verify_ldlt, O(d^3) symmetric elimination whose
 non-PSD verdict keeps a vector v with v^T Q v < 0.  The structured
-routes (Gram factor, Kronecker product, Schur complement, principal
-submatrix) certify the shapes the certificate constructions produce.
+routes (Gram factor, Kronecker product, Schur complement) certify the
+shapes the certificate constructions produce, and any restriction of a
+certified matrix is PSD with it, so restrictions need no route.
 The Gram and Kronecker routes check their identity entry by entry,
 comparing each entry of the target with the formula on the factors
 without building the product; Gram does so on Python ints after
@@ -42,10 +43,6 @@ class NotAKroneckerProduct(ValueError):
 
 class SingularLeadingBlock(ValueError):
     """The leading block of a Schur split is not invertible."""
-
-
-class SubmatrixMismatch(ValueError):
-    """A principal submatrix differs from the expected matrix."""
 
 
 class RationalMatrix:
@@ -356,25 +353,6 @@ def verify_schur(q: RationalMatrix, split: int) -> PsdCertificate:
         nullity=nullity)
 
 
-def verify_submatrix_psd(q: RationalMatrix, keep: Sequence[int],
-                         expected: Optional[RationalMatrix] = None
-                         ) -> PsdCertificate:
-    """PSD-certify a principal submatrix, optionally pinning its contents."""
-    keep = list(keep)
-    if any(not 0 <= i < q.size for i in keep):
-        raise ValueError("keep indices out of range")
-    sub = q.submatrix(keep)
-    if expected is not None and sub != expected:
-        diff = next((i, j) for i in range(sub.size) for j in range(sub.size)
-                    if sub[i][j] != expected[i][j])
-        raise SubmatrixMismatch(f"submatrix differs from expected at {diff}")
-    inner = verify_ldlt(sub)
-    return PsdCertificate(
-        method="submatrix", psd=inner.psd, matrix_hash=q.content_hash(),
-        witness={"keep": keep, "inner_cert": inner.to_jsonable()},
-        nullity=inner.nullity)
-
-
 def replay(cert: PsdCertificate, q: RationalMatrix) -> PsdCertificate:
     """Re-run a certificate's check from its witness against q."""
     if cert.matrix_hash != q.content_hash():
@@ -403,6 +381,4 @@ def replay(cert: PsdCertificate, q: RationalMatrix) -> PsdCertificate:
             raise ValueError(f"witness gives v^T Q v = {value}, certificate "
                              f"says {w['value']} < 0")
         return cert
-    if cert.method == "submatrix":
-        return verify_submatrix_psd(q, w["keep"])
     raise ValueError(f"unknown certificate method {cert.method!r}")

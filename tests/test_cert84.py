@@ -165,7 +165,9 @@ def test_symbolic_entry_sum_reduces_to_constant():
     assert str(build_certificate84(2, params=SYMBOLIC).entry_sum()) == \
         "824 + 4*x1 + 4*x2 + 2*x3 + 4*x4 + 2*x9 + 2*x10"
     system = derive_param_system(5)
-    assert system.reduce_affine(sym) == 70 * 5**4
+    x_part = {k: c for k, c in sym.items() if k}
+    assert system.implies(canonical_equation(x_part, 70 * 5**4 - sym[0]))
+    assert not system.implies(canonical_equation(x_part, 70 * 5**4 + 1 - sym[0]))
 
 
 def test_derive_param_system_refuses_small_n():
@@ -239,6 +241,35 @@ def test_row_operations_leave_rref_unchanged(rows, data):
     for terms, rhs in before or ():
         assert all(type(c) is Fraction for _, c in terms)
         assert type(rhs) is Fraction
+
+
+@pytest.fixture(scope="module")
+def derived5():
+    return derive_param_system(5)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_implies_is_membership_in_the_span(derived5, data):
+    # a rational combination of the system's equations, its constant
+    # shifted by c, is implied iff c = 0, and iff adding it to the system
+    # leaves the rref unchanged
+    picks = data.draw(st.lists(st.tuples(
+        st.sampled_from(derived5.equations),
+        st.fractions(-5, 5, max_denominator=6).filter(bool)),
+        min_size=1, max_size=4))
+    shift = data.draw(st.one_of(
+        st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4)))
+    coeffs, rhs = {}, Fraction(0)
+    for (terms, r), f in picks:
+        for k, c in terms:
+            coeffs[k] = coeffs.get(k, 0) + f * c
+        rhs += f * r
+    assume(any(coeffs.values()))
+    eq = canonical_equation(coeffs, rhs + shift)
+    joined = ParamSystem.from_equations(derived5.equations + (eq,))
+    assert derived5.implies(eq) == (shift == 0)
+    assert derived5.implies(eq) == (_rref_or_none(joined) == derived5.rref())
 
 
 def test_derivation_stable_between_n4_and_n5():

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -82,6 +83,33 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
         blob = path.read_bytes()
         assert code == 0
         assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest), argv
+
+
+def test_verify_all_json_is_pinned(capsys):
+    # size and SHA-256 of the report written when Q3(n=2..4) became PSD as
+    # restrictions of Q3(5)
+    code, out, _ = run(capsys, "verify-all", "--json")
+    blob = out.encode()
+    assert code == 0
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == (
+        1620, "c8ca5f9ed83866628a9b6d3a148b54db074f15ec586157ec5edd431836891fd7")
+
+
+def test_runtime_imports_only_the_standard_library():
+    # absolute imports in the package name stdlib modules only; relative
+    # imports stay inside it
+    package = Path(__file__).resolve().parents[1] / "src" / "tracesos"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, (path.name, name)
 
 
 def test_psd_certificate_bytes_are_pinned(tmp_path, capsys):

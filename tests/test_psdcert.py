@@ -15,7 +15,6 @@ from tracesos.psdcert import (
     PsdCertificate,
     RationalMatrix,
     SingularLeadingBlock,
-    SubmatrixMismatch,
     charpoly,
     replay,
     schur_complement,
@@ -23,7 +22,6 @@ from tracesos.psdcert import (
     verify_gram_factor,
     verify_ldlt,
     verify_schur,
-    verify_submatrix_psd,
     verify_tensor_psd,
 )
 
@@ -276,18 +274,27 @@ def test_ldlt():
                            zero.witness["vector"]) == -4
 
 
-def test_submatrix_certificates():
+def test_q3_restrictions_are_psd():
+    # Q3(5) is PSD, and each Q3(n_sub) is its principal submatrix on the
+    # restriction indices, hence PSD; verify_ldlt agrees on each one
     q3 = build_certificate84(5).q3_matrix()
-    for n_sub in (2, 3, 4):
-        keep = z3_restriction_indices(5, n_sub)
-        expected = build_certificate84(n_sub).q3_matrix()
-        cert = verify_submatrix_psd(q3, keep, expected=expected)
-        assert cert.psd
-    full = verify_submatrix_psd(q3, list(range(24)))
+    full = verify_charpoly_signs(q3)
     assert full.psd and full.nullity == 6
-    with pytest.raises(SubmatrixMismatch):
-        verify_submatrix_psd(q3, [0, 1],
-                             expected=RationalMatrix([[1, 0], [0, 1]]))
+    for n_sub in (2, 3, 4):
+        sub = q3.submatrix(z3_restriction_indices(5, n_sub))
+        assert sub == build_certificate84(n_sub).q3_matrix(), n_sub
+        assert verify_ldlt(sub).psd, n_sub
+
+
+def test_psd_suite_names_a_broken_restriction(monkeypatch):
+    from tracesos import cert84, checks
+
+    indices = cert84.z3_restriction_indices
+    monkeypatch.setattr(cert84, "z3_restriction_indices",
+                        lambda n, n_sub: indices(n, n_sub)[::-1])
+    result = checks.check_psd_suite()
+    assert not result.ok
+    assert "q3 n=2: not the restriction of Q3(5)" in result.detail, result.detail
 
 
 def test_principal_minor_monotonicity_spot_check():
@@ -296,7 +303,7 @@ def test_principal_minor_monotonicity_spot_check():
     rng = random.Random(11)
     for _ in range(6):
         keep = sorted(rng.sample(range(24), 3))
-        assert verify_submatrix_psd(q3, keep).psd, keep
+        assert verify_ldlt(q3.submatrix(keep)).psd, keep
 
 
 def test_method_cross_agreement():
@@ -321,7 +328,6 @@ def test_witness_replay_is_bit_identical():
     cases.append((verify_schur(q2_84, 6), q2_84))
     q3 = build_certificate84(3).q3_matrix()
     cases.append((verify_charpoly_signs(q3), q3))
-    cases.append((verify_submatrix_psd(q3, [0, 1, 2]), q3))
     cases.append((verify_ldlt(q3), q3))
     q3_6 = build_certificate84(6).q3_matrix()
     cases.append((verify_ldlt(q3_6), q3_6))
@@ -333,6 +339,15 @@ def test_witness_replay_is_bit_identical():
         assert json.dumps(again.to_jsonable(), sort_keys=True) == blob
     with pytest.raises(ValueError):
         replay(cases[0][0], RationalMatrix([[1]]))
+
+
+def test_replay_refuses_the_submatrix_method():
+    # a restriction is PSD with its parent and has no route of its own
+    q = RationalMatrix([[2, 1], [1, 2]])
+    cert = PsdCertificate(method="submatrix", psd=True,
+                          matrix_hash=q.content_hash(), witness={"keep": [0]})
+    with pytest.raises(ValueError, match="unknown certificate method 'submatrix'"):
+        replay(cert, q)
 
 
 def quadratic_value(q, vector):
