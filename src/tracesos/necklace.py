@@ -256,12 +256,12 @@ def expand_square_formula(m: int, n: int) -> Polynomial:
     return sum_of_products((w, w) for w in walk_sums)
 
 
-def word_trace(word: Iterable[str], n: int, diagonal_a: bool = False) -> Polynomial:
+def word_trace(word: Iterable[str], n: int) -> Polynomial:
     """Trace of the symbolic product of one word in the letters A, B."""
     letters = [w.lower() for w in word]
     if any(w not in ("a", "b") for w in letters):
         raise ValueError("word letters must be 'A' or 'B'")
-    mats = [_symbolic_matrix(n, w, diagonal_a and w == "a") for w in letters]
+    mats = [_symbolic_matrix(n, w, False) for w in letters]
     prod = mats[0]
     for mat in mats[1:]:
         prod = _mat_mul(prod, mat)

@@ -94,16 +94,12 @@ class RationalMatrix:
             raise ValueError("matrix is not symmetric")
         return self
 
-    def submatrix(self, keep_rows: Sequence[int],
-                  keep_cols: Optional[Sequence[int]] = None) -> "RationalMatrix":
-        if keep_cols is None:
-            keep_cols = keep_rows
-        rl = ([self.row_labels[i] for i in keep_rows]
-              if self.row_labels else None)
-        cl = ([self.col_labels[j] for j in keep_cols]
-              if self.col_labels else None)
-        return RationalMatrix([[self.rows[i][j] for j in keep_cols]
-                               for i in keep_rows], rl, cl)
+    def submatrix(self, keep: Sequence[int]) -> "RationalMatrix":
+        """The principal submatrix on the indices ``keep``."""
+        rl = [self.row_labels[i] for i in keep] if self.row_labels else None
+        cl = [self.col_labels[i] for i in keep] if self.col_labels else None
+        return RationalMatrix([[self.rows[i][j] for j in keep] for i in keep],
+                              rl, cl)
 
     def entry_sum(self) -> Fraction:
         return sum((x for row in self.rows for x in row), Fraction(0))

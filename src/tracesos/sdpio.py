@@ -20,11 +20,10 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cert42 import build_certificate42
-from .cert84 import (SYMBOLIC, InconsistentSystem, ParamSystem,
+from .cert84 import (SYMBOLIC, Entry, Grid, InconsistentSystem, ParamSystem,
                      build_certificate84, canonical_equation)
 from .necklace import TraceProblem, trace_coeff_necklace
 from .poly import (Monomial, mono_from_vars, mono_key, mono_mul, mono_str,
@@ -36,38 +35,29 @@ class RationalizationFailed(ValueError):
     """Approximate data could not be turned into exact rationals."""
 
 
-@dataclass(frozen=True)
-class Ansatz:
-    """Entry constraints on one Gram block: pinned values and equality classes."""
-
-    fixed: Tuple[Tuple[Tuple[int, int], Fraction], ...] = ()
-    classes: Tuple[Tuple[Tuple[int, int], str], ...] = ()
-
-    @classmethod
-    def from_grid(cls, grid) -> "Ansatz":
-        """Read a grid: numeric entries pin, and an entry that names a
-        parameter ("x1".."x22") joins the class of that name."""
-        fixed, classes = [], []
-        d = len(grid)
-        for u in range(d):
-            for v in range(u, d):
-                x = grid[u][v]
-                if isinstance(x, str):
-                    classes.append(((u, v), x))
-                else:
-                    fixed.append(((u, v), Fraction(x)))
-        return cls(tuple(fixed), tuple(classes))
+def _upper(d: int):
+    """The upper-triangle positions (u, v), u <= v, of a d-square, row by row."""
+    return itertools.combinations_with_replacement(range(d), 2)
 
 
 @dataclass(frozen=True)
 class BasisBlock:
+    """One Gram block, shared by every vector of its family.  On the
+    upper triangle of ``grid`` a number pins its entry and a name
+    ("x1".."x22") ties the entry to every other entry of that name;
+    ``grid=None`` leaves every entry free."""
+
     label: str
     vectors: Tuple[Tuple[Monomial, ...], ...]
-    ansatz: Optional[Ansatz] = None
+    grid: Optional[Grid] = None
 
     @property
     def dim(self) -> int:
         return len(self.vectors[0]) if self.vectors else 0
+
+    def entries(self) -> List[Tuple[Tuple[int, int], Entry]]:
+        """``((u, v), grid[u][v])`` for u <= v, row by row."""
+        return [((u, v), self.grid[u][v]) for u, v in _upper(len(self.grid))]
 
 
 @dataclass(frozen=True)
@@ -79,9 +69,11 @@ class BasisSpec:
         for b in self.blocks:
             vecs = [[mono_str(m) for m in vec] for vec in b.vectors]
             ans = None
-            if b.ansatz:
-                ans = {"fixed": [[list(k), str(v)] for k, v in b.ansatz.fixed],
-                       "classes": [[list(k), c] for k, c in b.ansatz.classes]}
+            if b.grid is not None:
+                ans = {"fixed": [], "classes": []}
+                for k, x in b.entries():
+                    kind = "classes" if isinstance(x, str) else "fixed"
+                    ans[kind].append([list(k), str(x)])
             payload.append({"label": b.label, "vectors": vecs, "ansatz": ans})
         blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -119,16 +111,13 @@ def certificate_basis_84(n: int) -> BasisSpec:
     Q1 and Q2 pinned, Q3 pinned constants plus the 22 shared parameters,
     all read off the symbolic certificate."""
     cert = build_certificate84(n, params=SYMBOLIC)
-    blocks = [
-        BasisBlock("Q1", (tuple(cert.z1),), Ansatz.from_grid(cert.q1.rows)),
-    ]
+    blocks = [BasisBlock("Q1", (tuple(cert.z1),), cert.q1.rows)]
     if cert.z2:
-        blocks.append(BasisBlock("Q2", (tuple(cert.z2),),
-                                 Ansatz.from_grid(cert.q2.rows)))
+        blocks.append(BasisBlock("Q2", (tuple(cert.z2),), cert.q2.rows))
     if cert.z3_family:
         blocks.append(BasisBlock(
             "Q3", tuple(tuple(v) for _, v in sorted(cert.z3_family.items())),
-            Ansatz.from_grid(cert.q3)))
+            cert.q3))
     return BasisSpec(tuple(blocks))
 
 
@@ -162,57 +151,53 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
 
     One match constraint per monomial spanned by the target or by any
     basis product (products outside the target are constrained to zero,
-    otherwise a solver could park weight on impossible cells).  Ansatz
-    data becomes explicit fix/tie constraints.
+    otherwise a solver could park weight on impossible cells).  A block's
+    grid becomes explicit constraints: a ``fix:`` per pinned entry, then
+    a ``tie:`` from the first entry of each name to every later one.
     """
     target = trace_coeff_necklace(p, budget=budget)
     rows: Dict[Monomial, Dict[Tuple[int, int, int], Fraction]] = {
-        m: {} for m in target.terms
-    }
+        m: {} for m in target.terms}
     one, two = Fraction(1), Fraction(2)
     for b_idx, block in enumerate(basis.blocks):
         for vec in block.vectors:
-            d = len(vec)
-            for u in range(d):
-                for v in range(u, d):
-                    mult = one if u == v else two
-                    key = (b_idx, u, v)
-                    row = rows.setdefault(mono_mul(vec[u], vec[v]), {})
-                    row[key] = row[key] + mult if key in row else mult
+            for u, v in _upper(len(vec)):
+                mult = one if u == v else two
+                key = (b_idx, u, v)
+                row = rows.setdefault(mono_mul(vec[u], vec[v]), {})
+                row[key] = row[key] + mult if key in row else mult
     constraints = []
     for runs, mono in sorted(zip(map(mono_key, rows), rows)):
         lhs = tuple(sorted(rows[mono].items()))
         rhs = Fraction(target.terms.get(mono, 0))
         constraints.append(Constraint(f"match:{runs_str(runs)}", lhs, rhs))
     for b_idx, block in enumerate(basis.blocks):
-        if not block.ansatz:
+        if block.grid is None:
             continue
-        for (u, v), value in block.ansatz.fixed:
-            constraints.append(Constraint(
-                f"fix:{block.label}:{u},{v}",
-                (((b_idx, u, v), Fraction(1)),), Fraction(value)))
-        by_class: Dict[str, List[Tuple[int, int]]] = {}
-        for (u, v), cls in block.ansatz.classes:
-            by_class.setdefault(cls, []).append((u, v))
-        for cls in sorted(by_class):
-            members = sorted(by_class[cls])
-            head = members[0]
-            for idx, other in enumerate(members[1:]):
+        by_name: Dict[str, List[Tuple[int, int]]] = {}
+        for (u, v), x in block.entries():
+            if isinstance(x, str):
+                by_name.setdefault(x, []).append((u, v))
+            else:
                 constraints.append(Constraint(
-                    f"tie:{block.label}:{cls}:{idx}",
+                    f"fix:{block.label}:{u},{v}",
+                    (((b_idx, u, v), Fraction(1)),), Fraction(x)))
+        for name in sorted(by_name):
+            head, *others = by_name[name]
+            for idx, other in enumerate(others):
+                constraints.append(Constraint(
+                    f"tie:{block.label}:{name}:{idx}",
                     (((b_idx, *head), Fraction(1)),
                      ((b_idx, *other), Fraction(-1))), Fraction(0)))
     if entry_sum_constraint:
         lhs: Dict[Tuple[int, int, int], Fraction] = {}
         for b_idx, block in enumerate(basis.blocks):
             copies = len(block.vectors)
-            d = block.dim
-            for u in range(d):
-                for v in range(u, d):
-                    lhs[(b_idx, u, v)] = Fraction(copies * (1 if u == v else 2))
+            for u, v in _upper(block.dim):
+                lhs[(b_idx, u, v)] = Fraction(copies * (1 if u == v else 2))
         constraints.append(Constraint(
             "entrysum", tuple(sorted(lhs.items())),
-            Fraction(comb(p.m, p.r) * p.n**p.m)))
+            Fraction(p.necklace_count())))
     return SdpProblem(
         m=p.m, r=p.r, n=p.n, diagonal_a=p.diagonal_a,
         blocks=tuple((b.label, b.dim) for b in basis.blocks),
@@ -402,38 +387,35 @@ def rationalize_and_verify(prob: SdpProblem,
 
 def reduce_to_parameters(prob: SdpProblem,
                          basis: BasisSpec) -> Tuple[ParamSystem, int]:
-    """Restate the matching constraints over the basis' parameter classes.
+    """Restate the matching constraints over the parameters of the basis'
+    grids: a pinned entry adds to the constant, an entry named x_k to
+    the coefficient of x_k.
 
     Returns the resulting system plus the number of parameter-free
     matching constraints that were checked as exact constant identities.
     Raises InconsistentSystem when a constant identity fails or a free
-    Gram entry survives (the ansatz then under-determines the problem).
+    Gram entry survives (the grids then under-determine the problem).
     """
     if prob.basis_hash != basis.content_hash():
         raise ValueError("problem was built from a different basis")
-    fixed: Dict[Tuple[int, int, int], Fraction] = {}
-    rep_class: Dict[Tuple[int, int, int], str] = {}
-    for b_idx, block in enumerate(basis.blocks):
-        if not block.ansatz:
-            continue
-        for (u, v), value in block.ansatz.fixed:
-            fixed[(b_idx, u, v)] = Fraction(value)
-        for (u, v), cls in block.ansatz.classes:
-            rep_class[(b_idx, u, v)] = cls
+    grid_at: Dict[Tuple[int, int, int], Entry] = {
+        (b_idx, u, v): x
+        for b_idx, block in enumerate(basis.blocks) if block.grid is not None
+        for (u, v), x in block.entries()}
     equations = []
     checked = 0
     for con in prob.match_constraints():
         const = Fraction(0)
         coeffs: Dict[int, Fraction] = {}
         for key, coeff in con.lhs:
-            if key in fixed:
-                const += coeff * fixed[key]
-            elif key in rep_class:
-                k = int(rep_class[key].lstrip("x"))
+            x = grid_at.get(key)
+            if x is None:
+                raise InconsistentSystem(f"free Gram entry {key} in {con.name}")
+            if isinstance(x, str):
+                k = int(x[1:])
                 coeffs[k] = coeffs.get(k, Fraction(0)) + coeff
             else:
-                raise InconsistentSystem(
-                    f"free Gram entry {key} in {con.name}")
+                const += coeff * x
         coeffs = {k: c for k, c in coeffs.items() if c != 0}
         if not coeffs:
             if const != con.rhs:

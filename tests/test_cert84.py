@@ -200,6 +200,23 @@ def test_param_check_names_first_failed_condition(monkeypatch):
         "derived system (n=5): not equivalent to the published system"
 
 
+def test_run_all_derives_each_system_once(monkeypatch):
+    from collections import Counter
+
+    from tracesos import cert84, checks
+
+    calls = Counter()
+    derive = cert84.derive_param_system
+
+    def counting(n):
+        calls[n] += 1
+        return derive(n)
+
+    monkeypatch.setattr(cert84, "derive_param_system", counting)
+    assert all(result.ok for result in checks.run_all())
+    assert calls == {5: 1, 4: 1}
+
+
 def test_renamed_q3_parameter_fails_the_param_check(monkeypatch):
     # x7 at block pair (1, 3) renamed to x8: the derivation still succeeds
     # but its system is no longer the published one

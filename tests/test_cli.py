@@ -56,8 +56,11 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
     # and the basis hash must not move with the representation.  The two
     # coefficient files at n above the arc count were written while the
     # necklace oracle still enumerated every cycle at the full n, the
-    # next two while certificate vectors held one-term polynomials, and
-    # the last two while Q3 parameters were affine polynomial coefficients.
+    # next two while certificate vectors held one-term polynomials, the
+    # two before the last while Q3 parameters were affine polynomial
+    # coefficients, and the last, with its pins, ties and entry-sum row,
+    # while each basis block copied its grid into pinned values and
+    # equality classes.
     path = tmp_path / "out"
     for argv, size, digest in (
             (("sdp-export", "--m", "4", "--r", "2", "--n", "3", "--basis",
@@ -78,7 +81,10 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
             (("cert84", "--n", "3", "--params", "symbolic", "--emit"), 1653,
              "c5837930b6ba5a761791b3c799d2592433e01f99962b5816edde4cadc175e956"),
             (("paramsys", "--n", "5", "--emit"), 834,
-             "8923024f92fc1046f78e1b83f1601257370434c846eca9a9d85cb74f0f491fd1")):
+             "8923024f92fc1046f78e1b83f1601257370434c846eca9a9d85cb74f0f491fd1"),
+            (("sdp-export", "--m", "8", "--r", "4", "--n", "5", "--diagonal-a",
+              "--basis", "certificate", "--entry-sum", "--out"), 195648,
+             "90d49148d20f58762fed152bb6d2509699c52efa34879ad7ff4fa1983753fad3")):
         code, _, _ = run(capsys, *argv, str(path))
         blob = path.read_bytes()
         assert code == 0
@@ -473,10 +479,14 @@ def test_wrong_q3_constant_fails_verification(monkeypatch, capsys):
     code, out, _ = run(capsys, "paramsys", "--n", "4")
     assert code == 1 and out == f"derived system (n=4): {why}\n", out
     code, out, _ = run(capsys, "verify-all", "--json")
-    identity = next(r for r in json.loads(out) if r["name"] == "identity-84")
+    report = {r["name"]: r for r in json.loads(out)}
+    identity = report["identity-84"]
     assert code == 1 and not identity["ok"] and identity["detail"] == (
         "identity fails at n=[2, 3, 4, 5, 6, 7]; first differences at n=2: "
         "a[1,1]^4*b[1,2]^2*b[2,2]^2 (squares 9, oracle 8)"), identity
+    # the failed derivation that verify-all shares gives the same details
+    assert report["entry-sums"]["detail"] == sums.detail
+    assert report["param-system"]["detail"] == system.detail
 
 
 def _leaf_paths(obj, path=()):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tracesos.cert42 import build_certificate42
-from tracesos.cert84 import InconsistentSystem, derive_param_system, \
-    build_certificate84, published_params
+from tracesos.cert84 import SYMBOLIC, InconsistentSystem, \
+    derive_param_system, build_certificate84, published_params
 from tracesos.necklace import TraceProblem, trace_coeff_necklace
 from tracesos.sdpio import (
     BasisBlock,
@@ -214,11 +215,31 @@ def test_reduction_to_parameters_n3():
     ])
 
 
-def test_reduction_to_parameters_n4_gives_full_system():
-    basis = certificate_basis_84(4)
-    prob = build_sdp(TraceProblem(8, 4, 4, diagonal_a=True), basis)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_reduction_to_parameters_gives_full_system(n):
+    basis = certificate_basis_84(n)
+    prob = build_sdp(TraceProblem(8, 4, n, diagonal_a=True), basis)
     system, _ = reduce_to_parameters(prob, basis)
     assert system.equivalent(derive_param_system(5))
+
+
+def test_certificate_basis_grids_are_the_symbolic_certificate():
+    for n in range(2, 6):
+        cert = build_certificate84(n, params=SYMBOLIC)
+        grids = [b.grid for b in certificate_basis_84(n).blocks]
+        assert grids == [cert.q1.rows, cert.q2.rows, cert.q3], n
+    # one pinned Q1 entry off by one: the problem rebuilt over that grid
+    # reduces to a failed constant identity
+    basis = certificate_basis_84(3)
+    q1 = basis.blocks[0]
+    rows = [list(row) for row in q1.grid]
+    rows[0][0] += 1
+    basis = BasisSpec((dataclasses.replace(q1, grid=rows),) + basis.blocks[1:])
+    prob = build_sdp(TraceProblem(8, 4, 3, diagonal_a=True), basis)
+    with pytest.raises(InconsistentSystem) as err:
+        reduce_to_parameters(prob, basis)
+    assert str(err.value) == ("constant identity fails in "
+                              "match:a[1,1]^4*b[1,1]^4: 71 != 70")
 
 
 def test_reduction_requires_matching_basis():
