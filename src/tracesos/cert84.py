@@ -26,6 +26,17 @@ from the blocks of its two labels and whether they agree in side or in
 k.  The vector, the grid, the block sizes and the restriction to
 indices <= n_sub are all read off the labels, so Q3(n) restricted to
 [n_sub] is Q3(n_sub) by construction.
+
+The whole certificate restricts.  Each Gram entry depends only on the
+labels of its two positions, never on n: 70*I, :func:`_q2_entry`, and
+:data:`Q3_TABLE` through :func:`_q3_rule`.  Each vector entry carries
+its position's labels, plus the pair (i, j) for z3.  So a square's
+monomial uses at most 4 labels, and the size-n sum of squares, kept to
+the monomials on a label set S, is the size-|S| sum of squares under the
+increasing map from [|S|] onto S.  The target restricts the same way
+(``necklace``), so the identity at n = 4 gives it for every n.  And
+since Q3(6) is a principal submatrix of Q3(n) for n >= 6, Q3(6) NOT PSD
+makes every such Q3(n) NOT PSD.
 """
 
 from __future__ import annotations

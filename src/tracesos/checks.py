@@ -132,8 +132,9 @@ def check_counterexample() -> CheckResult:
 
 
 def check_identity_42() -> CheckResult:
-    """Assembled squares equal the coefficient polynomial for n = 1..6;
-    the n=3 matrices match the published transcription."""
+    """Assembled squares equal the coefficient polynomial for n = 1..6,
+    and so for every n, since both sides restrict and n = 4 decides
+    (``cert42``); the n=3 matrices match the published transcription."""
     bad, witness = _unequal(
         ((n, f"n={n}", cert42.assemble_sos_42(cert42.build_certificate42(n)),
           necklace.trace_coeff_necklace(TraceProblem(4, 2, n)))
@@ -183,18 +184,19 @@ def check_entry_sums(system=None) -> CheckResult:
         if not bad else f"failures: {bad}")
 
 
-def check_identity_84(big: bool = False) -> CheckResult:
+def check_identity_84() -> CheckResult:
     """Assembled squares equal the diagonal-A coefficient polynomial for
-    n = 1..7 (1..9 with ``big``); notes say whether Q3 is PSD from n = 6."""
-    top = 9 if big else 7
+    n = 1..7, and so for every n, since both sides restrict and n = 4
+    decides (``cert84``); notes say whether Q3 is PSD at n = 6, 7, and
+    Q3(6) NOT PSD makes every larger Q3 NOT PSD."""
     bad, witness = _unequal(
         ((n, f"n={n}", cert84.assemble_sos_84(cert84.build_certificate84(n)),
           necklace.trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True)))
-         for n in range(1, top + 1)), ("squares", "oracle"))
+         for n in range(1, 8)), ("squares", "oracle"))
     return CheckResult("identity-84", not bad,
-                       f"identity holds for n=1..{top}" if not bad
+                       "identity holds for n=1..7" if not bad
                        else f"identity fails at n={bad}{witness}",
-                       notes=[q3_psd_report(n) for n in range(6, top + 1)])
+                       notes=[q3_psd_report(n) for n in (6, 7)])
 
 
 def check_param_system(system=None) -> CheckResult:
@@ -478,7 +480,7 @@ REPRODUCIBLES: Dict[str, Callable[[], str]] = {
 }
 
 
-def run_all(big: bool = False) -> List[CheckResult]:
+def run_all() -> List[CheckResult]:
     try:
         system = cert84.derive_param_system(5)
     except cert84.InconsistentSystem as exc:
@@ -489,7 +491,7 @@ def run_all(big: bool = False) -> List[CheckResult]:
         check_identity_42(),
         check_audit_42(),
         check_entry_sums(system),
-        check_identity_84(big=big),
+        check_identity_84(),
         check_param_system(system),
         check_psd_suite(),
         check_square_formula(),

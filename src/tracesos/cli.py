@@ -18,8 +18,6 @@ from . import cert42, cert84, checks, necklace, psdcert, sdpio
 from .necklace import BudgetExceeded, TraceProblem
 from .poly import mono_str, read_number
 
-DEFAULT_BUDGET = necklace.DEFAULT_BUDGET
-
 
 class UnknownObject(ValueError):
     """reproduce was asked for an identifier it does not know."""
@@ -45,18 +43,12 @@ def _read_json(path: str):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _budget(args) -> int | None:
-    if getattr(args, "big", False):
-        return None
-    return getattr(args, "budget", DEFAULT_BUDGET)
-
-
 def cmd_coeff(args) -> int:
     problem = TraceProblem(args.m, args.r, args.n, diagonal_a=args.diagonal_a)
     if args.oracle == "necklace":
-        p = necklace.trace_coeff_necklace(problem, budget=_budget(args))
+        p = necklace.trace_coeff_necklace(problem, budget=args.budget)
     else:
-        p = necklace.trace_coeff_matrix(problem, budget=_budget(args))
+        p = necklace.trace_coeff_matrix(problem, budget=args.budget)
     payload = {"m": args.m, "r": args.r, "n": args.n,
                "diagonal_a": args.diagonal_a, "oracle": args.oracle,
                "terms": p.to_jsonable()}
@@ -80,7 +72,7 @@ def cmd_cert42(args) -> int:
 
 
 def cmd_audit42(args) -> int:
-    report = cert42.accounting_audit(args.n, budget=_budget(args))
+    report = cert42.accounting_audit(args.n, budget=args.budget)
     if args.json:
         print(json.dumps({
             "n": report.n, "ok": report.ok,
@@ -180,7 +172,7 @@ def cmd_sdp_export(args) -> int:
     else:
         raise ValueError("--basis certificate is only available for (4,2) "
                          "and diagonal-A (8,4)")
-    prob = sdpio.build_sdp(problem, basis, budget=_budget(args),
+    prob = sdpio.build_sdp(problem, basis, budget=args.budget,
                            entry_sum_constraint=args.entry_sum)
     sdpio.export_sdpa(prob, args.out)
     print(f"wrote {args.out}: {len(prob.constraints)} constraints, "
@@ -227,7 +219,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    results = checks.run_all(big=args.big)
+    results = checks.run_all()
     if args.json:
         print(json.dumps(
             [{"name": r.name, "ok": r.ok, "detail": r.detail, "notes": r.notes}
@@ -249,10 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=int, default=necklace.DEFAULT_BUDGET,
                        help="max enumeration visits (default 1e8)")
-        p.add_argument("--big", action="store_true",
-                       help="lift the enumeration budget")
 
     p = sub.add_parser("coeff", help="compute one coefficient polynomial")
     p.add_argument("--m", type=int, required=True)
@@ -328,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
-    p.add_argument("--big", action="store_true",
-                   help="include n = 8, 9 in the degree-8 identity")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_all)
     return parser

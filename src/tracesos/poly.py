@@ -178,9 +178,6 @@ class Polynomial:
                 out[m] = -c
         return Polynomial(out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

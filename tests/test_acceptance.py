@@ -10,8 +10,10 @@ import time
 import pytest
 
 from tracesos import checks
+from tracesos.cert42 import assemble_sos_42, build_certificate42
 from tracesos.cert84 import assemble_sos_84, build_certificate84
 from tracesos.necklace import TraceProblem, trace_coeff_necklace
+from tracesos.poly import Polynomial, relabel
 
 
 def _report(number: int, result: checks.CheckResult, started: float):
@@ -62,10 +64,33 @@ def test_criterion_6_identity_84():
     _report(6, checks.check_identity_84(), t0)
 
 
-@pytest.mark.big
-def test_criterion_6_identity_84_big():
-    t0 = time.time()
-    _report(6, checks.check_identity_84(big=True), t0)
+def _labels(mono) -> set:
+    return {x for _, i, j in mono for x in (i, j)}
+
+
+@pytest.mark.parametrize("problem, sos", [
+    (lambda n: TraceProblem(4, 2, n),
+     lambda n: assemble_sos_42(build_certificate42(n))),
+    (lambda n: TraceProblem(8, 4, n, diagonal_a=True),
+     lambda n: assemble_sos_84(build_certificate84(n))),
+], ids=["(4,2)", "(8,4)"])
+def test_identity_at_n4_decides_every_n(problem, sos):
+    # the premises of the restriction lemma (cert42, cert84, necklace): no
+    # monomial of either side uses more than arc_count = 4 labels, and the
+    # size-6 squares kept to a label set S are the size-|S| squares under
+    # the increasing map onto S
+    p, squares = problem(6), sos(6)
+    assert p.arc_count == 4
+    for side in (squares, trace_coeff_necklace(p)):
+        assert max(len(_labels(m)) for m in side.terms) <= p.arc_count
+
+    def on(labels: set) -> Polynomial:
+        return Polynomial({m: c for m, c in squares.terms.items()
+                           if _labels(m) <= labels})
+
+    for n_s in range(1, 6):
+        assert on(set(range(1, n_s + 1))) == sos(n_s), n_s
+    assert on({2, 4, 5}) == relabel(sos(3), {1: 2, 2: 4, 3: 5})
 
 
 def test_criterion_7_param_system():

@@ -145,20 +145,31 @@ def test_psd_certificate_bytes_are_pinned(tmp_path, capsys):
     code, _, err = run(capsys, "psd", "--in", path["two"], "--method", "gram",
                        "--factor", path["u"], "--scale", "6")
     assert (code, err) == (2, "error: shape (10, 10) != (2, 2)\n")
+    code, _, err = run(capsys, "psd", "--in", path["q1"], "--method", "gram",
+                       "--factor", path["u"], "--scale", "5")
+    assert (code, err) == (
+        2, "error: entry (0,0): expected 6, factor gives 5\n")
 
 
 def test_workers_flag_is_gone(capsys):
+    # each argv ends in the removed flag, then its value if it took one
     for argv in (["coeff", "--m", "4", "--r", "2", "--n", "1", "--workers", "2"],
                  ["verify-all", "--workers", "2"],
                  ["verify-all", "--max-n-42", "6"],
                  ["verify-all", "--max-n-84", "3"],
                  ["cert42", "--n", "2", "--out", "m.json"],
                  ["cert84", "--n", "2", "--out", "q3.json"],
-                 ["paramsys", "--out", "system.json"]):
+                 ["paramsys", "--out", "system.json"],
+                 ["verify-all", "--big"],
+                 ["coeff", "--m", "4", "--r", "2", "--n", "1", "--big"],
+                 ["audit42", "--n", "2", "--big"],
+                 ["sdp-export", "--m", "4", "--r", "2", "--n", "2",
+                  "--out", "p.dat-s", "--big"]):
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert argv[-2] in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_unreadable_input_files_exit_2(tmp_path, capsys):
@@ -351,6 +362,16 @@ def test_paramsys_emit(tmp_path, capsys):
     assert code == 0
     payload = json.loads(path.read_text())
     assert len(payload["equations"]) == 11
+    # the text form, pinned by size and SHA-256; n = 4 prints the same
+    for n in ("4", "5"):
+        code, out, _ = run(capsys, "paramsys", "--n", n)
+        blob = out.encode()
+        assert code == 0
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (
+            204, "3b7e91c3204b8b7774a121d6b0b3801764d95677a650347d9e0a2da6b8f9a690")
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == ("x1 + x2 = 32",
+                                         "rank 11 over 22 parameters")
 
 
 def test_sdp_export_verify_cycle(tmp_path, capsys):
