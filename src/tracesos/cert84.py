@@ -327,24 +327,14 @@ def canonical_equation(coeffs: Mapping[int, Fraction], rhs) -> Equation:
     ints = [(k, int(c * denom_lcm)) for k, c in items]
     r = int(rhs * denom_lcm)
     g = gcd(r, *(c for _, c in ints))
-    ints = [(k, c // g) for k, c in ints]
-    r //= g
-    if ints[0][1] < 0:
-        ints = [(k, -c) for k, c in ints]
-        r = -r
-    return tuple(ints), r
+    g = g if ints[0][1] > 0 else -g  # first coefficient positive
+    return tuple((k, c // g) for k, c in ints), r // g
 
 
 def equation_str(eq: Equation) -> str:
     terms, rhs = eq
-    parts = []
-    for k, c in terms:
-        if c == 1:
-            parts.append(f"x{k}")
-        elif c == -1:
-            parts.append(f"-x{k}")
-        else:
-            parts.append(f"{c}*x{k}")
+    parts = [("" if c == 1 else "-" if c == -1 else f"{c}*") + f"x{k}"
+             for k, c in terms]
     return " + ".join(parts).replace("+ -", "- ") + f" = {rhs}"
 
 
@@ -375,12 +365,10 @@ class ParamSystem:
 
     @classmethod
     def published(cls) -> "ParamSystem":
-        raw = load_golden("param_system_84")
-        eqs = []
-        for e in raw["equations"]:
-            coeffs = {int(k[1:]): Fraction(v) for k, v in e["coeffs"].items()}
-            eqs.append(canonical_equation(coeffs, e["rhs"]))
-        return cls.from_equations(eqs)
+        return cls.from_equations(
+            canonical_equation({int(k[1:]): v for k, v in e["coeffs"].items()},
+                               e["rhs"])
+            for e in load_golden("param_system_84")["equations"])
 
     def _pivot_rows(self) -> Dict[int, Dict[int, Fraction]]:
         """Gauss-Jordan in index order: for each pivot variable k its reduced
@@ -427,11 +415,8 @@ class ParamSystem:
         return not any(form.values())
 
     def satisfied_by(self, values: Mapping[int, Fraction]) -> bool:
-        for terms, rhs in self.equations:
-            total = sum(Fraction(values[k]) * c for k, c in terms)
-            if total != rhs:
-                return False
-        return True
+        return all(sum(Fraction(values[k]) * c for k, c in terms) == rhs
+                   for terms, rhs in self.equations)
 
     def to_jsonable(self):
         return {"equations": [

@@ -1,11 +1,13 @@
 """End-to-end verification checks.
 
-Each check function implements one acceptance criterion over fixed
-ranges and returns a CheckResult; the test suite asserts them and the
-``verify-all`` command prints them.  REPRODUCIBLES lists the published
-objects that ``reproduce`` rebuilds; every comparison with a golden file
-goes through compare_golden.  Everything is exact: a check passes only on
-literal equality of polynomials, matrices, or rationals.
+Each check function implements one acceptance criterion and returns a
+CheckResult; the test suite asserts them and the ``verify-all`` command
+prints them.  Identities and entry sums run n = 1..arc_count (4), which
+decides every n by restriction (``cert42``, ``cert84``).  REPRODUCIBLES
+lists the published objects that ``reproduce`` rebuilds; every
+comparison with a golden file goes through compare_golden.  Everything
+is exact: a check passes only on literal equality of polynomials,
+matrices, or rationals.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from typing import Callable, Dict, List
 
 from . import cert42, cert84, golden, necklace, poly, psdcert, sdpio
 from .necklace import TraceProblem
+
+_SIZES_42 = range(1, TraceProblem(4, 2, 1).arc_count + 1)
+_SIZES_84 = range(1, TraceProblem(8, 4, 1, diagonal_a=True).arc_count + 1)
 
 
 @dataclass
@@ -102,7 +107,10 @@ def _unequal(cases, names: tuple) -> tuple:
 
 
 def check_dual_oracle() -> CheckResult:
-    """Necklace and matrix oracles agree term-for-term for n = 1..5."""
+    """Necklace and matrix oracles agree term-for-term for n = 1..5.  n = 5
+    is the one size above ``arc_count``, so the only one where the
+    necklace oracle lifts (``necklace._lift``) and the matrix oracle
+    checks that lift."""
     bad, witness = _unequal(
         (((label, n), f"{label} n={n}", necklace.trace_coeff_necklace(p),
           necklace.trace_coeff_matrix(p)) for n in range(1, 6)
@@ -132,13 +140,13 @@ def check_counterexample() -> CheckResult:
 
 
 def check_identity_42() -> CheckResult:
-    """Assembled squares equal the coefficient polynomial for n = 1..6,
-    and so for every n, since both sides restrict and n = 4 decides
+    """Assembled squares equal the coefficient polynomial for
+    n = 1..arc_count (4), and so for every n, since both sides restrict
     (``cert42``); the n=3 matrices match the published transcription."""
     bad, witness = _unequal(
         ((n, f"n={n}", cert42.assemble_sos_42(cert42.build_certificate42(n)),
           necklace.trace_coeff_necklace(TraceProblem(4, 2, n)))
-         for n in range(1, 7)), ("squares", "oracle"))
+         for n in _SIZES_42), ("squares", "oracle"))
     if bad:
         return CheckResult("identity-42", False,
                            f"identity fails at n={bad}{witness}")
@@ -149,7 +157,8 @@ def check_identity_42() -> CheckResult:
         return CheckResult("identity-42", False,
                            f"n=3 matrices differ from transcription: {exc}")
     return CheckResult("identity-42", True,
-                       "identity n=1..6, n=3 matrices match transcription")
+                       f"identity holds for n=1..{_SIZES_42[-1]}, so for "
+                       "every n; n=3 matrices match transcription")
 
 
 def check_audit_42() -> CheckResult:
@@ -164,11 +173,12 @@ def check_audit_42() -> CheckResult:
 
 
 def check_entry_sums(system=None) -> CheckResult:
-    """Entry sums are 6n^4 (n <= 8) and 70n^4 (n <= 7); the symbolic sum
-    collapses at n=5."""
-    bad = [("(4,2)", n) for n in range(1, 9)
+    """Entry sums are 6n^4 and 70n^4 for n = 1..arc_count (4), and so for
+    every n: each is its identity at A = J (A = I for diagonal A) and
+    B = J.  The symbolic sum collapses at n=5."""
+    bad = [("(4,2)", n) for n in _SIZES_42
            if cert42.build_certificate42(n).entry_sum() != 6 * n**4]
-    bad += [("(8,4)", n) for n in range(2, 8)
+    bad += [("(8,4)", n) for n in _SIZES_84
             if cert84.build_certificate84(n).entry_sum() != 70 * n**4]
     sym = cert84.build_certificate84(5, params=cert84.SYMBOLIC).entry_sum()
     collapses = cert84.canonical_equation(
@@ -180,30 +190,31 @@ def check_entry_sums(system=None) -> CheckResult:
         bad.append(str(exc))
     return CheckResult(
         "entry-sums", not bad,
-        "6n^4 for n<=8, 70n^4 for n<=7, symbolic sum collapses to 43750"
+        f"6n^4 and 70n^4 for n=1..{_SIZES_84[-1]}, so for every n; "
+        "symbolic sum collapses to 43750"
         if not bad else f"failures: {bad}")
 
 
 def check_identity_84() -> CheckResult:
     """Assembled squares equal the diagonal-A coefficient polynomial for
-    n = 1..7, and so for every n, since both sides restrict and n = 4
-    decides (``cert84``); notes say whether Q3 is PSD at n = 6, 7, and
-    Q3(6) NOT PSD makes every larger Q3 NOT PSD."""
+    n = 1..arc_count (4), and so for every n, since both sides restrict
+    (``cert84``); notes say whether Q3 is PSD at n = 6, 7."""
     bad, witness = _unequal(
         ((n, f"n={n}", cert84.assemble_sos_84(cert84.build_certificate84(n)),
           necklace.trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True)))
-         for n in range(1, 8)), ("squares", "oracle"))
+         for n in _SIZES_84), ("squares", "oracle"))
     return CheckResult("identity-84", not bad,
-                       "identity holds for n=1..7" if not bad
+                       f"identity holds for n=1..{_SIZES_84[-1]}, so for "
+                       "every n" if not bad
                        else f"identity fails at n={bad}{witness}",
                        notes=[q3_psd_report(n) for n in (6, 7)])
 
 
 def check_param_system(system=None) -> CheckResult:
-    """The re-derived constraints match the published 11-equation system."""
+    """The constraints re-derived at n = 5, which by restriction are those
+    of every n >= 4, match the published 11-equation system."""
     try:
         derived = _system5(system)
-        derived4 = cert84.derive_param_system(4)
     except cert84.InconsistentSystem as exc:
         return CheckResult("param-system", False, str(exc))
     published = cert84.ParamSystem.published()
@@ -216,14 +227,12 @@ def check_param_system(system=None) -> CheckResult:
         (not missing, f"published equations missing: {'; '.join(missing)}"),
         (derived.satisfied_by(cert84.published_params()),
          "published values violate it"),
-        (derived4.equivalent(derived),
-         "n=4 derivation disagrees"),
     ) if not holds]
     return CheckResult(
         "param-system", not failures,
         f"derived system (n=5): {failures[0]}" if failures else
         f"rank {derived.rank}, equivalent to published system, published "
-        f"values satisfy it, n=4 derivation agrees")
+        f"values satisfy it; the same system for every n>=4")
 
 
 def check_psd_suite() -> CheckResult:
@@ -280,13 +289,14 @@ def check_psd_suite() -> CheckResult:
 
 
 def q3_psd_report(n: int) -> str:
-    """Informational: PSD status of the degree-8 Q3 beyond the proven range."""
+    """Informational: ``verify_ldlt`` on Q3(n) with the published values;
+    NOT PSD carries to every larger n (``z3_restriction_indices``)."""
     cert = psdcert.verify_ldlt(cert84.build_certificate84(n).q3_matrix())
     if cert.psd:
         return f"Q3(n={n}) with published values: PSD, nullity {cert.nullity}"
     return (f"Q3(n={n}) with published values: NOT PSD (vᵀQv = "
             f"{cert.witness['value']} < 0 at index {cert.witness['index']}); "
-            f"unproven range")
+            f"so NOT PSD for every n ≥ {n}")
 
 
 def check_square_formula() -> CheckResult:
@@ -305,18 +315,15 @@ def check_sdp_roundtrip() -> CheckResult:
     perturbed certificate is rejected."""
     problems = []
     with tempfile.TemporaryDirectory() as base:
-        basis42 = sdpio.certificate_basis_42(2)
-        prob42 = sdpio.build_sdp(TraceProblem(4, 2, 2), basis42)
-        path42 = os.path.join(base, "p42.dat-s")
-        sdpio.export_sdpa(prob42, path42)
-        if sdpio.import_sdpa(path42) != prob42:
-            problems.append("(4,2,2) round trip")
-        basis84 = sdpio.certificate_basis_84(3)
-        prob84 = sdpio.build_sdp(TraceProblem(8, 4, 3, diagonal_a=True), basis84)
-        path84 = os.path.join(base, "p84.dat-s")
-        sdpio.export_sdpa(prob84, path84)
-        if sdpio.import_sdpa(path84) != prob84:
-            problems.append("(8,4,3) round trip")
+        prob42 = sdpio.build_sdp(TraceProblem(4, 2, 2),
+                                 sdpio.certificate_basis_42(2))
+        prob84 = sdpio.build_sdp(TraceProblem(8, 4, 3, diagonal_a=True),
+                                 sdpio.certificate_basis_84(3))
+        for name, prob in (("(4,2,2)", prob42), ("(8,4,3)", prob84)):
+            path = os.path.join(base, f"{name}.dat-s")
+            sdpio.export_sdpa(prob, path)
+            if sdpio.import_sdpa(path) != prob:
+                problems.append(f"{name} round trip")
 
         cert = cert42.build_certificate42(2)
         sol = {"Q1": [[float(x) for x in row] for row in cert.q1.rows],

@@ -201,13 +201,11 @@ def cmd_reproduce(args) -> int:
         raise UnknownObject(
             f"unknown object {unknown[0]!r}; known: {', '.join(table)}")
     results = []
-    ok = True
     for name in names:
         try:
             detail = table[name]()
             results.append({"object": name, "ok": True, "detail": detail})
         except checks.GoldenMismatch as exc:
-            ok = False
             results.append({"object": name, "ok": False, "detail": str(exc)})
     if args.json:
         print(json.dumps(results, indent=1, sort_keys=True))
@@ -215,7 +213,7 @@ def cmd_reproduce(args) -> int:
         for res in results:
             print(f"{'OK  ' if res['ok'] else 'FAIL'} {res['object']}: "
                   f"{res['detail']}")
-    return 0 if ok else 1
+    return 0 if all(res["ok"] for res in results) else 1
 
 
 def cmd_verify_all(args) -> int:

@@ -84,10 +84,8 @@ class RationalMatrix:
 
     def is_symmetric(self) -> bool:
         nr, nc = self.shape
-        if nr != nc:
-            return False
-        return all(self.rows[i][j] == self.rows[j][i]
-                   for i in range(nr) for j in range(i + 1, nr))
+        return nr == nc and all(self.rows[i][j] == self.rows[j][i]
+                                for i in range(nr) for j in range(i + 1, nr))
 
     def require_symmetric(self) -> "RationalMatrix":
         if not self.is_symmetric():

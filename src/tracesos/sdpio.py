@@ -233,9 +233,18 @@ def export_sdpa(prob: SdpProblem, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"SDPA line {line!r}: expected an integer, got "
+                         f"{token!r:.40}") from None
+
+
 def import_sdpa(path: str) -> SdpProblem:
-    """Read back a problem written by :func:`export_sdpa`."""
-    meta: Dict[str, str] = {}
+    """Read back a problem written by :func:`export_sdpa`; a refusal of a
+    line is a ValueError that names it."""
+    meta: Dict[str, object] = {}
     block_labels: List[str] = []
     con_names: Dict[int, str] = {}
     body: List[str] = []
@@ -247,21 +256,23 @@ def import_sdpa(path: str) -> SdpProblem:
                 if parts[:1] in (["block"], ["con"]) and len(parts) < 2:
                     raise ValueError(f"SDPA comment {line!r}: no label")
                 if parts[:1] == ["meta"]:
-                    meta = dict(kv.split("=", 1) for kv in parts[1:])
+                    pairs = (kv.partition("=")[::2] for kv in parts[1:])
+                    meta = {k: v if k == "basis_hash" else _int(v, line)
+                            for k, v in pairs}
                 elif parts[:1] == ["block"]:
                     block_labels.append(parts[1])
                 elif parts[:1] == ["con"]:
-                    con_names[int(parts[1])] = " ".join(parts[2:])
+                    con_names[_int(parts[1], line)] = " ".join(parts[2:])
             elif line.strip():
                 body.append(line.strip())
     if len(body) < 4:
         raise ValueError(f"SDPA file has {len(body)} of the 4 header lines "
                          f"(constraints, blocks, block sizes, right-hand side)")
-    n_con = int(body[0])
-    n_block = int(body[1])
-    dims = [int(t) for t in body[2].split()]
-    if len(dims) != n_block:
-        raise ValueError("block count mismatch")
+    n_con, n_block = (_int(line, line) for line in body[:2])
+    dims = [_int(t, body[2]) for t in body[2].split()]
+    if len(dims) != n_block or min(dims) < 1:  # SDPA's diagonal blocks are < 0
+        raise ValueError(f"SDPA line {body[2]!r}: expected {n_block} block "
+                         f"sizes of at least 1")
     parsed: Dict[str, Fraction] = {}  # token -> value, successes only
 
     def number(token: str, line: str) -> Fraction:
@@ -272,7 +283,8 @@ def import_sdpa(path: str) -> SdpProblem:
 
     rhs_vals = [number(t, body[3]) for t in body[3].split()]
     if len(rhs_vals) != n_con:
-        raise ValueError("rhs count mismatch")
+        raise ValueError(f"SDPA line {body[3]!r}: expected {n_con} "
+                         f"right-hand sides")
     lhs_map: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {
         k: {} for k in range(1, n_con + 1)}
     for line in body[4:]:
@@ -300,9 +312,8 @@ def import_sdpa(path: str) -> SdpProblem:
             tuple(sorted(lhs_map[k].items())), rhs_vals[k - 1]))
     labels = block_labels or [f"B{i}" for i in range(n_block)]
     return SdpProblem(
-        m=int(meta.get("m", 0)), r=int(meta.get("r", 0)),
-        n=int(meta.get("n", 0)),
-        diagonal_a=bool(int(meta.get("diagonal_a", 0))),
+        m=meta.get("m", 0), r=meta.get("r", 0), n=meta.get("n", 0),
+        diagonal_a=bool(meta.get("diagonal_a", 0)),
         blocks=tuple(zip(labels, dims)),
         constraints=tuple(constraints),
         basis_hash=meta.get("basis_hash", ""))

@@ -93,6 +93,32 @@ def test_identity_at_n4_decides_every_n(problem, sos):
     assert on({2, 4, 5}) == relabel(sos(3), {1: 2, 2: 4, 3: 5})
 
 
+def test_identity_checks_catch_a_defect_first_seen_at_n4(monkeypatch):
+    # each defect needs two disjoint pairs, or two indices outside {i, j},
+    # so both sides still agree at n = 1..3 and first differ at n = 4
+    from tracesos import cert42, cert84
+    from tracesos.psdcert import RationalMatrix
+
+    build_q1 = cert42.build_q1
+
+    def q1_plus_one_between_disjoint_pairs(n):
+        q1 = build_q1(n)
+        labels = q1.row_labels
+        return RationalMatrix(
+            [[q + (len(x) == len(y) == 2 and not set(x) & set(y))
+              for y, q in zip(labels, row)]
+             for x, row in zip(labels, q1.rows)], row_labels=labels)
+
+    monkeypatch.setattr(cert42, "build_q1", q1_plus_one_between_disjoint_pairs)
+    # published (3, 6) reads x13 = 2 at different k; x14 = 8
+    monkeypatch.setitem(cert84.Q3_TABLE, (3, 6), ("k", "x15", "x14"))
+    for check in (checks.check_identity_42, checks.check_identity_84):
+        result = check()
+        assert not result.ok
+        assert result.detail.startswith("identity fails at n=[4];"), \
+            result.detail
+
+
 def test_criterion_7_param_system():
     t0 = time.time()
     _report(7, checks.check_param_system(), t0)

@@ -214,7 +214,7 @@ def test_run_all_derives_each_system_once(monkeypatch):
 
     monkeypatch.setattr(cert84, "derive_param_system", counting)
     assert all(result.ok for result in checks.run_all())
-    assert calls == {5: 1, 4: 1}
+    assert calls == {5: 1}
 
 
 def test_renamed_q3_parameter_fails_the_param_check(monkeypatch):

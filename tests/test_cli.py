@@ -92,13 +92,13 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
 
 
 def test_verify_all_json_is_pinned(capsys):
-    # size and SHA-256 of the report written when Q3(n=2..4) became PSD as
-    # restrictions of Q3(5)
+    # size and SHA-256 of the report written when the identities and entry
+    # sums came to run n = 1..arc_count (4), which decides every n
     code, out, _ = run(capsys, "verify-all", "--json")
     blob = out.encode()
     assert code == 0
     assert (len(blob), hashlib.sha256(blob).hexdigest()) == (
-        1620, "c8ca5f9ed83866628a9b6d3a148b54db074f15ec586157ec5edd431836891fd7")
+        1717, "77b6eba9afa99f057e34b31d638aa3390332d58e53066f7b45e1bd74f6b61683")
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -465,7 +465,7 @@ def test_wrong_certificate_fails_verification(monkeypatch, capsys):
     assert psd.startswith("FAIL") and "gram n=2: entry (0,0)" in psd, psd
     identity = next(line for line in lines if "identity-42" in line)
     assert identity == (
-        "FAIL identity-42: identity fails at n=[2, 3, 4, 5, 6]; first "
+        "FAIL identity-42: identity fails at n=[2, 3, 4]; first "
         "differences at n=2: a[1,1]^2*b[1,1]^2 (squares 12, oracle 6)"), identity
 
 
@@ -503,7 +503,7 @@ def test_wrong_q3_constant_fails_verification(monkeypatch, capsys):
     report = {r["name"]: r for r in json.loads(out)}
     identity = report["identity-84"]
     assert code == 1 and not identity["ok"] and identity["detail"] == (
-        "identity fails at n=[2, 3, 4, 5, 6, 7]; first differences at n=2: "
+        "identity fails at n=[2, 3, 4]; first differences at n=2: "
         "a[1,1]^4*b[1,2]^2*b[2,2]^2 (squares 9, oracle 8)"), identity
     # the failed derivation that verify-all shares gives the same details
     assert report["entry-sums"]["detail"] == sums.detail

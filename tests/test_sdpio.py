@@ -147,6 +147,37 @@ def test_import_rejects_malformed_body_lines(tmp_path):
         import_sdpa(str(tampered))
 
 
+
+def test_import_rejects_malformed_header_lines(tmp_path, capsys):
+    # a negative block size is SDPA's diagonal block, which this format
+    # lacks, and a size of 0 would make a solution look wrong; each refusal
+    # names its line and sdp-verify calls it an input error
+    from tracesos.cli import main
+
+    path = tmp_path / "p.dat-s"
+    export_sdpa(build_sdp(TraceProblem(4, 2, 1), certificate_basis_42(1)),
+                str(path))
+    lines = path.read_text().splitlines()
+    meta, con = 1, next(idx for idx, line in enumerate(lines)
+                        if line.startswith("* con"))
+    n_con, dims, rhs = con + 1, con + 3, con + 4
+    solution = tmp_path / "sol.json"
+    solution.write_text('{"Q1": [[6]]}')
+    tampered = tmp_path / "bad.dat-s"
+    for at, bad in ((dims, "-2"), (dims, "0"), (meta, "* meta m"),
+                    (meta, "* meta m=x"), (con, "* con x y"), (n_con, "x"),
+                    (dims, "1 1"), (rhs, "6 6")):
+        tampered.write_text("\n".join(lines[:at] + [bad] + lines[at + 1:])
+                            + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"SDPA line {bad!r}")):
+            import_sdpa(str(tampered))
+        assert main(["sdp-verify", "--prob", str(tampered),
+                     "--solution", str(solution)]) == 2, bad
+        assert f"SDPA line {bad!r}" in capsys.readouterr().err
+    assert main(["sdp-verify", "--prob", str(path),
+                 "--solution", str(solution)]) == 0
+
+
 _TOKEN = st.one_of(st.integers(-2, 12).map(str), st.text(max_size=4),
                    st.sampled_from(["*", "block", "con", "meta", "m=4", "x",
                                     "1/2", "1/0", "nan", "1e3"]))
