@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -26,9 +27,10 @@ from .cert42 import build_certificate42
 from .cert84 import (SYMBOLIC, Entry, Grid, InconsistentSystem, ParamSystem,
                      build_certificate84, canonical_equation)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import (Monomial, mono_from_vars, mono_key, mono_mul, mono_str,
-                   read_number, runs_str, var)
-from .psdcert import PsdCertificate, RationalMatrix, verify_charpoly_signs
+from .poly import (Monomial, Scalar, _whole, mono_from_vars, mono_key,
+                   mono_mul, mono_str, read_number, runs_str, var)
+from .psdcert import (PsdCertificate, RationalMatrix, _integer_rows,
+                      verify_charpoly_signs)
 
 
 class RationalizationFailed(ValueError):
@@ -79,9 +81,45 @@ class BasisSpec:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _connected(mono: Monomial) -> bool:
+    """Whether the edges {i, j} of the monomial's variables connect its labels."""
+    reach = {mono[0][1]}
+    for _ in mono:  # each pass adds every edge that touches reach
+        reach.update(x for _, i, j in mono if i in reach or j in reach
+                     for x in (i, j))
+    return all(i in reach for _, i, _ in mono)
+
+
+def _splits(z: Monomial) -> List[Tuple[Monomial, Monomial]]:
+    """The pairs (h, h') with h * h' = z * z and h != z (so h != h')."""
+    exps = list(Counter(z).items())
+    out = []
+    for take in itertools.product(*(range(2 * e + 1) for _, e in exps)):
+        if sum(take) == len(z):
+            h = tuple(x for (x, _), k in zip(exps, take) for _ in range(k))
+            if h != z:
+                out.append((h, tuple(x for (x, e), k in zip(exps, take)
+                                     for _ in range(2 * e - k))))
+    return out
+
+
 def auto_basis(p: TraceProblem) -> BasisSpec:
-    """One block spanning every monomial of half degree: a-degree
-    (m-r)/2 and b-degree r/2 (diagonal a-variables only when requested)."""
+    """One block of the monomials of half degree: a-degree (m-r)/2 and
+    b-degree r/2 (diagonal a-variables only when requested), pruned by
+    zero diagonals.
+
+    Repeat until nothing changes: drop z when z*z is not a target
+    monomial and is not h*h' for two different kept vectors.  Distinct
+    monomials have distinct squares, so the match row of z*z then holds
+    only G[z][z], with right-hand side 0, and G PSD forces row z to be
+    zero.  z*z is a target monomial exactly when the edges {i, j} of z's
+    variables form a connected graph (a loop for i = j): z*z doubles
+    every edge, so every degree is even and a connected support has an
+    Eulerian closed walk, and each term of the t^r coefficient is a
+    positive count of closed walks, so nothing cancels.  Soundness never
+    rests on this: ``build_sdp`` opens a row for every target monomial,
+    so a wrongly dropped vector could only make the problem infeasible.
+    """
     if p.diagonal_a:
         a_vars = [var("a", i, i) for i in range(1, p.n + 1)]
     else:
@@ -93,7 +131,15 @@ def auto_basis(p: TraceProblem) -> BasisSpec:
     for a_part in itertools.combinations_with_replacement(a_vars, (p.m - p.r) // 2):
         for b_part in itertools.combinations_with_replacement(b_vars, p.r // 2):
             monos.append(mono_from_vars(a_part + b_part))
-    return BasisSpec((BasisBlock("G", (tuple(monos),)),))
+    splits = {z: _splits(z) for z in monos if not _connected(z)}
+    kept = set(monos)
+    while True:
+        dead = [z for z, pairs in splits.items() if z in kept and not any(
+            h in kept and h2 in kept for h, h2 in pairs)]
+        if not dead:
+            break
+        kept.difference_update(dead)
+    return BasisSpec((BasisBlock("G", (tuple(z for z in monos if z in kept),)),))
 
 
 def certificate_basis_42(n: int) -> BasisSpec:
@@ -126,8 +172,8 @@ class Constraint:
     """One affine equation over Gram entries (block, row, col), row <= col."""
 
     name: str
-    lhs: Tuple[Tuple[Tuple[int, int, int], Fraction], ...]
-    rhs: Fraction
+    lhs: Tuple[Tuple[Tuple[int, int, int], Scalar], ...]
+    rhs: Scalar
 
 
 @dataclass(frozen=True)
@@ -156,20 +202,18 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
     a ``tie:`` from the first entry of each name to every later one.
     """
     target = trace_coeff_necklace(p, budget=budget)
-    rows: Dict[Monomial, Dict[Tuple[int, int, int], Fraction]] = {
+    rows: Dict[Monomial, Dict[Tuple[int, int, int], int]] = {
         m: {} for m in target.terms}
-    one, two = Fraction(1), Fraction(2)
     for b_idx, block in enumerate(basis.blocks):
         for vec in block.vectors:
             for u, v in _upper(len(vec)):
-                mult = one if u == v else two
                 key = (b_idx, u, v)
                 row = rows.setdefault(mono_mul(vec[u], vec[v]), {})
-                row[key] = row[key] + mult if key in row else mult
+                row[key] = row.get(key, 0) + (1 if u == v else 2)
     constraints = []
     for runs, mono in sorted(zip(map(mono_key, rows), rows)):
         lhs = tuple(sorted(rows[mono].items()))
-        rhs = Fraction(target.terms.get(mono, 0))
+        rhs = target.terms.get(mono, 0)
         constraints.append(Constraint(f"match:{runs_str(runs)}", lhs, rhs))
     for b_idx, block in enumerate(basis.blocks):
         if block.grid is None:
@@ -181,30 +225,28 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
             else:
                 constraints.append(Constraint(
                     f"fix:{block.label}:{u},{v}",
-                    (((b_idx, u, v), Fraction(1)),), Fraction(x)))
+                    (((b_idx, u, v), 1),), _whole(Fraction(x))))
         for name in sorted(by_name):
             head, *others = by_name[name]
             for idx, other in enumerate(others):
                 constraints.append(Constraint(
                     f"tie:{block.label}:{name}:{idx}",
-                    (((b_idx, *head), Fraction(1)),
-                     ((b_idx, *other), Fraction(-1))), Fraction(0)))
+                    (((b_idx, *head), 1), ((b_idx, *other), -1)), 0))
     if entry_sum_constraint:
-        lhs: Dict[Tuple[int, int, int], Fraction] = {}
+        lhs: Dict[Tuple[int, int, int], int] = {}
         for b_idx, block in enumerate(basis.blocks):
             copies = len(block.vectors)
             for u, v in _upper(block.dim):
-                lhs[(b_idx, u, v)] = Fraction(copies * (1 if u == v else 2))
+                lhs[(b_idx, u, v)] = copies * (1 if u == v else 2)
         constraints.append(Constraint(
-            "entrysum", tuple(sorted(lhs.items())),
-            Fraction(p.necklace_count())))
+            "entrysum", tuple(sorted(lhs.items())), p.necklace_count()))
     return SdpProblem(
         m=p.m, r=p.r, n=p.n, diagonal_a=p.diagonal_a,
         blocks=tuple((b.label, b.dim) for b in basis.blocks),
         constraints=tuple(constraints), basis_hash=basis.content_hash())
 
 
-def _num_str(x: Fraction) -> str:
+def _num_str(x: Scalar) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     # documented precision for non-integers: 17 significant digits
@@ -273,25 +315,30 @@ def import_sdpa(path: str) -> SdpProblem:
     if len(dims) != n_block or min(dims) < 1:  # SDPA's diagonal blocks are < 0
         raise ValueError(f"SDPA line {body[2]!r}: expected {n_block} block "
                          f"sizes of at least 1")
-    parsed: Dict[str, Fraction] = {}  # token -> value, successes only
+    parsed: Dict[str, Scalar] = {}  # token -> value, successes only
 
-    def number(token: str, line: str) -> Fraction:
+    def number(token: str, line: str) -> Scalar:
         value = parsed.get(token)
         if value is None:
-            value = parsed[token] = read_number(token, f"SDPA line {line!r}")
+            value = parsed[token] = _whole(
+                read_number(token, f"SDPA line {line!r}"))
         return value
 
     rhs_vals = [number(t, body[3]) for t in body[3].split()]
     if len(rhs_vals) != n_con:
         raise ValueError(f"SDPA line {body[3]!r}: expected {n_con} "
                          f"right-hand sides")
-    lhs_map: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {
+    lhs_map: Dict[int, Dict[Tuple[int, int, int], Scalar]] = {
         k: {} for k in range(1, n_con + 1)}
     for line in body[4:]:
         fields = line.split()
         if len(fields) != 5:
             raise ValueError(f"SDPA body line {line!r}: expected 5 fields")
-        k, b, i, j = map(int, fields[:4])
+        try:
+            k, b, i, j = map(int, fields[:4])
+        except ValueError:
+            raise ValueError(f"SDPA body line {line!r}: expected four integer "
+                             f"indices") from None
         if not 1 <= k <= n_con:
             raise ValueError(f"SDPA body line {line!r}: constraint index "
                              f"outside 1..{n_con}")
@@ -319,14 +366,6 @@ def import_sdpa(path: str) -> SdpProblem:
         basis_hash=meta.get("basis_hash", ""))
 
 
-def evaluate_constraint(con: Constraint,
-                        blocks: Sequence[RationalMatrix]) -> Fraction:
-    total = Fraction(0)
-    for (b, u, v), coeff in con.lhs:
-        total += coeff * blocks[b][u][v]
-    return total
-
-
 @dataclass
 class SolutionReport:
     """Outcome of exact re-verification of a candidate solution."""
@@ -334,7 +373,7 @@ class SolutionReport:
     accepted: bool
     blocks: Dict[str, RationalMatrix] = field(default_factory=dict)
     psd_certs: Dict[str, PsdCertificate] = field(default_factory=dict)
-    violations: List[Tuple[str, Fraction, Fraction]] = field(default_factory=list)
+    violations: List[Tuple[str, Fraction, Scalar]] = field(default_factory=list)
     reason: str = ""
 
 
@@ -378,10 +417,14 @@ def rationalize_and_verify(prob: SdpProblem,
         blocks.append(RationalMatrix(rows))
     report = SolutionReport(accepted=False,
                             blocks=dict(zip(labels, blocks)))
+    # each constraint on integer rows: N = L * blocks, L one common denominator
+    rows, den = _integer_rows([row for mat in blocks for row in mat.rows])
+    starts = itertools.accumulate((dim for _, dim in prob.blocks), initial=0)
+    ints = [rows[at:] for at in starts]
     for con in prob.constraints:
-        got = evaluate_constraint(con, blocks)
-        if got != con.rhs:
-            report.violations.append((con.name, got, con.rhs))
+        got = sum(c * ints[b][u][v] for (b, u, v), c in con.lhs)
+        if got != con.rhs * den:
+            report.violations.append((con.name, Fraction(got, den), con.rhs))
     if report.violations:
         report.reason = (f"{len(report.violations)} violated constraints, "
                          f"first: {report.violations[0][0]}")
@@ -410,21 +453,21 @@ def reduce_to_parameters(prob: SdpProblem,
     if prob.basis_hash != basis.content_hash():
         raise ValueError("problem was built from a different basis")
     grid_at: Dict[Tuple[int, int, int], Entry] = {
-        (b_idx, u, v): x
+        (b_idx, u, v): _whole(x)
         for b_idx, block in enumerate(basis.blocks) if block.grid is not None
         for (u, v), x in block.entries()}
     equations = []
     checked = 0
     for con in prob.match_constraints():
-        const = Fraction(0)
-        coeffs: Dict[int, Fraction] = {}
+        const: Scalar = 0
+        coeffs: Dict[int, Scalar] = {}
         for key, coeff in con.lhs:
             x = grid_at.get(key)
             if x is None:
                 raise InconsistentSystem(f"free Gram entry {key} in {con.name}")
             if isinstance(x, str):
                 k = int(x[1:])
-                coeffs[k] = coeffs.get(k, Fraction(0)) + coeff
+                coeffs[k] = coeffs.get(k, 0) + coeff
             else:
                 const += coeff * x
         coeffs = {k: c for k, c in coeffs.items() if c != 0}

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -17,7 +18,6 @@ from tracesos.sdpio import (
     RationalizationFailed,
     auto_basis,
     build_sdp,
-    evaluate_constraint,
     export_sdpa,
     import_sdpa,
     rationalize_and_verify,
@@ -126,18 +126,27 @@ def test_roundtrip_421(tmp_path):
     assert (tmp_path / "p2.dat-s").read_text() == path.read_text()
 
 
-def test_import_rejects_malformed_body_lines(tmp_path):
+def test_import_rejects_malformed_body_lines(tmp_path, capsys):
     p = TraceProblem(4, 2, 1)
     path = tmp_path / "p.dat-s"
     export_sdpa(build_sdp(p, certificate_basis_42(1)), str(path))
     lines = path.read_text().splitlines()
     k, b, i, j, v = lines[-1].split()
     for bad in (f"99 {b} {i} {j} {v}", f"0 {b} {i} {j} {v}",
-                f"{k} 9 {i} {j} {v}", f"{k} {b} 9 {j} {v}", f"{k} {b} {i} {j}"):
+                f"{k} 9 {i} {j} {v}", f"{k} {b} 9 {j} {v}", f"{k} {b} {i} {j}",
+                f"{k} x {i} {j} {v}"):
         tampered = tmp_path / "bad.dat-s"
         tampered.write_text("\n".join(lines[:-1] + [bad]) + "\n")
-        with pytest.raises(ValueError, match=re.escape(bad)):
+        with pytest.raises(ValueError, match=re.escape(f"SDPA body line {bad!r}")):
             import_sdpa(str(tampered))
+    # a non-integer index is an input error of sdp-verify, not a traceback
+    from tracesos.cli import main
+
+    solution = tmp_path / "sol.json"
+    solution.write_text('{"Q1": [[6]]}')
+    assert main(["sdp-verify", "--prob", str(tampered),
+                 "--solution", str(solution)]) == 2
+    assert f"SDPA body line {bad!r}" in capsys.readouterr().err
     # the right-hand side (fourth line after the comments) shares the
     # token memo; a bad token there is still named with its line
     at = next(idx for idx, line in enumerate(lines) if line[0] != "*") + 3
@@ -216,7 +225,9 @@ def test_entry_sum_constraint_optional():
     con = next(c for c in with_sum.constraints if c.name == "entrysum")
     assert con.rhs == math.comb(4, 2) * 2**4
     cert = build_certificate42(2)
-    assert evaluate_constraint(con, [cert.q1, cert.q2]) == con.rhs
+    report = rationalize_and_verify(
+        with_sum, {"Q1": cert.q1.rows, "Q2": cert.q2.rows}, 1)
+    assert report.accepted and not report.violations
 
 
 def test_published_point_satisfies_843_problem():
@@ -313,3 +324,103 @@ def test_basis_hash_changes_with_content():
     b3 = certificate_basis_42(3)
     assert b2.content_hash() != b3.content_hash()
     assert b2.content_hash() == certificate_basis_42(2).content_hash()
+
+
+def _half_degree_monomials(p):
+    """The auto basis before pruning: every monomial of a-degree (m-r)/2
+    and b-degree r/2."""
+    from tracesos.poly import var
+
+    n = range(1, p.n + 1)
+    a = ([var("a", i, i) for i in n] if p.diagonal_a
+         else [var("a", i, j) for i in n for j in n if i <= j])
+    b = [var("b", i, j) for i in n for j in n if i <= j]
+    return {tuple(sorted(x + y))
+            for x in itertools.combinations_with_replacement(a, (p.m - p.r) // 2)
+            for y in itertools.combinations_with_replacement(b, p.r // 2)}
+
+
+_PRUNED = [((8, 6, 3, False), 336, 225), ((8, 4, 4, True), 550, 172),
+           ((6, 2, 3, False), 126, 81), ((6, 4, 3, False), 126, 81),
+           ((8, 2, 3, False), 336, 225), ((4, 2, 3, False), 36, 24),
+           ((6, 2, 4, True), 100, 22)]
+
+
+@pytest.mark.parametrize("args, full, kept", _PRUNED)
+def test_auto_basis_drops_only_provably_zero_rows(args, full, kept):
+    from tracesos.poly import mono_mul
+    from tracesos.sdpio import _connected
+
+    p = TraceProblem(*args[:3], diagonal_a=args[3])
+    unpruned = _half_degree_monomials(p)
+    (vectors,) = auto_basis(p).blocks[0].vectors
+    assert (len(unpruned), len(vectors)) == (full, kept)
+    target = trace_coeff_necklace(p).terms
+    # the connectivity lemma decides "z*z is a target monomial"
+    for z in unpruned:
+        assert _connected(z) == (mono_mul(z, z) in target), z
+    # each dropped z: the match row of z*z holds only G[z][z], rhs 0
+    off_diagonal = {mono_mul(v, w) for i, v in enumerate(vectors)
+                    for w in vectors[i + 1:]}
+    for z in unpruned - set(vectors):
+        square = mono_mul(z, z)
+        assert square not in target and square not in off_diagonal, z
+    # and nothing kept could be dropped by the same argument
+    for z in vectors:
+        square = mono_mul(z, z)
+        assert square in target or square in off_diagonal, z
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_auto_basis_keeps_every_certificate_vector(n):
+    c42, c84 = build_certificate42(n), build_certificate84(n)
+    for vectors, p in (
+            ([c42.z1, *c42.z2_family.values()], TraceProblem(4, 2, n)),
+            ([c84.z1, c84.z2, *c84.z3_family.values()],
+             TraceProblem(8, 4, n, diagonal_a=True))):
+        used = {m for vec in vectors for m in vec}
+        (kept,) = auto_basis(p).blocks[0].vectors
+        assert used and used <= set(kept), p
+
+
+def test_auto_basis_shrinks_the_863_problem(tmp_path):
+    p = TraceProblem(8, 6, 3)
+    prob = build_sdp(p, auto_basis(p))
+    path = tmp_path / "auto.dat-s"
+    export_sdpa(prob, str(path))
+    assert prob.blocks == (("G", 225),)
+    assert len(prob.constraints) == 7209
+    assert os.path.getsize(path) == 828_492
+    assert import_sdpa(str(path)) == prob
+
+
+def _coefficients(prob):
+    return ([c for con in prob.constraints for _, c in con.lhs]
+            + [con.rhs for con in prob.constraints])
+
+
+@pytest.mark.parametrize("p, basis, entry_sum", [
+    (TraceProblem(4, 2, 3), certificate_basis_42(3), True),
+    (TraceProblem(8, 4, 5, diagonal_a=True), certificate_basis_84(5), False)])
+def test_whole_coefficients_are_ints(tmp_path, p, basis, entry_sum):
+    prob = build_sdp(p, basis, entry_sum_constraint=entry_sum)
+    path = tmp_path / "p.dat-s"
+    export_sdpa(prob, str(path))
+    again = import_sdpa(str(path))
+    for built in (prob, again):
+        assert {type(c) for c in _coefficients(built)} == {int}
+    assert again == prob
+    assert any(c.name == "entrysum" for c in prob.constraints) == entry_sum
+
+
+def test_fractional_coefficient_stays_exact(tmp_path):
+    # 0.5 * G[0][0] = 1 has the one solution G = [[2]]
+    path = tmp_path / "half.dat-s"
+    path.write_text("* con 1 half\n1\n1\n1\n1\n1 1 1 1 0.5\n")
+    prob = import_sdpa(str(path))
+    ((_, coeff),) = prob.constraints[0].lhs
+    assert type(coeff) is Fraction and coeff == Fraction(1, 2)
+    assert rationalize_and_verify(prob, {"B0": [[2]]}, 1).accepted
+    report = rationalize_and_verify(prob, {"B0": [[1 / 3]]}, 3)
+    assert not report.accepted
+    assert report.violations == [("half", Fraction(1, 6), 1)]
