@@ -37,6 +37,24 @@ increasing map from [|S|] onto S.  The target restricts the same way
 (``necklace``), so the identity at n = 4 gives it for every n.  And
 since Q3(6) is a principal submatrix of Q3(n) for n >= 6, Q3(6) NOT PSD
 makes every such Q3(n) NOT PSD.
+
+Q3 also splits by symmetry.  A rule of :data:`Q3_TABLE` sees only the
+blocks and sides of its two labels and whether they share k, so Q3(n)
+commutes with every permutation of the indices k outside {i, j}.  Its
+positions are six fixed ones, those with k in {i, j}
+(:data:`Q3_FIXED`), and the six k-classes (:data:`Q3_CLASSES`) at each
+of the n - 2 other k.  Four 6x6 grids give every entry
+(:func:`q3_blocks`): F fixed x fixed, G fixed x class, A class x class
+at one k, B at two different k.  With m = n - 2 the class part is
+I(x)(A - B) + J(x)B, so on the class vectors that sum to zero over k,
+Q3(n) is m - 1 copies of S = A - B, and on the rest it is congruent to
+M(1/m) = [[F, G], [G^T, B + S/m]] through (w_F, w_C) -> w_F on the
+fixed positions and w_C/m on every class position.  Hence for n >= 4,
+Q3(n) is PSD iff S and M(1/(n-2)) are, with nullity nullity(M) +
+(n - 3)*nullity(S); Q3(3) is M(1) and Q3(2) is F (Gatermann & Parrilo,
+"Symmetry groups, semidefinite programs, and sums of squares", JPAA
+2004).  :func:`decide_q3` decides Q3(n) on these blocks and lifts a
+witness of either one to Q3(n).
 """
 
 from __future__ import annotations
@@ -57,7 +75,7 @@ from .poly import (
     quadratic_form,
     var,
 )
-from .psdcert import RationalMatrix
+from .psdcert import RationalMatrix, verify_ldlt
 
 SYMBOLIC = "symbolic"
 
@@ -193,22 +211,97 @@ def _q3_rule(u: Z3Label, v: Z3Label):
     return rule
 
 
+def _q3_grid(rows, cols, vals) -> Grid:
+    """The Q3 entries between two label lists: Fractions, or the table's
+    names "x1".."x22" where x1..x22 stand when ``vals`` is None."""
+    def value(rule) -> Entry:
+        if isinstance(rule, int):
+            return Fraction(rule)
+        return rule if vals is None else vals[int(rule[1:])]
+
+    return tuple(tuple(value(_q3_rule(u, v)) for v in cols) for u in rows)
+
+
 def q3_grid(n: int, params=None) -> Grid:
     """The (6n-6)-square coefficient grid read off :data:`Q3_TABLE` for
     each pair of labels: Fractions, and for ``SYMBOLIC`` params the
     table's names "x1".."x22" where x1..x22 stand."""
     if n < 2:
         return ()
-    vals = _resolve_params(params)
-
-    def value(rule) -> Entry:
-        if isinstance(rule, int):
-            return Fraction(rule)
-        return rule if vals is None else vals[int(rule[1:])]
-
     labels = z3_labels(n, 1, 2)
-    return tuple(tuple(value(_q3_rule(u, v)) for v in labels)
-                 for u in labels)
+    return _q3_grid(labels, labels, _resolve_params(params))
+
+
+# The labels of the pair (1, 2) whose k is i or j, and the six k-classes
+# (block, side) that every other k carries once.
+Q3_FIXED = ((1, "i", 1), (1, "j", 2), (2, "i", 1), (2, "j", 2),
+            (5, "i", 2), (7, "j", 1))
+Q3_CLASSES = ((3, None), (4, "i"), (4, "j"), (5, "i"), (6, None), (7, "j"))
+
+
+def q3_blocks(params=None) -> Tuple[Grid, Grid, Grid, Grid]:
+    """The 6x6 grids (F, G, A, B) that give every entry of every Q3(n):
+    fixed x fixed, fixed x class, class x class at one k and class x
+    class at two different k, read at k = 3 and 4; ``params`` as for
+    :func:`q3_grid`."""
+    vals = _resolve_params(params)
+    at3, at4 = ([(b, s, k) for b, s in Q3_CLASSES] for k in (3, 4))
+    return (_q3_grid(Q3_FIXED, Q3_FIXED, vals), _q3_grid(Q3_FIXED, at3, vals),
+            _q3_grid(at3, at3, vals), _q3_grid(at3, at4, vals))
+
+
+@dataclass(frozen=True)
+class Q3Verdict:
+    """Q3(n) decided on its blocks (:func:`decide_q3`): PSD with its
+    nullity, or NOT PSD with a vector v over the positions of
+    ``z3_labels(n, 1, 2)`` and value = v^T Q3(n) v < 0, lifted from a
+    witness of ``block``."""
+
+    psd: bool
+    nullity: Optional[int] = None
+    vector: Tuple[Fraction, ...] = ()
+    value: Optional[Fraction] = None
+    block: str = ""
+
+
+def decide_q3(n: int, params=None) -> Q3Verdict:
+    """Decide Q3(n) >= 0 by ``verify_ldlt`` on M(1/(n-2)) and S (F alone
+    at n = 2, M(1) alone at n = 3) without building Q3(n); ``params`` is
+    a mapping, or None for the published values."""
+    if n < 2:
+        raise InvalidDimension(f"Q3 needs n >= 2, got {n}")
+    if params == SYMBOLIC:
+        raise ValueError("deciding Q3 needs numeric parameters")
+    f, g, a, b = q3_blocks(params)
+    s = [tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
+    t = Fraction(1, max(n - 2, 1))
+    m = f if n == 2 else (
+        [rf + rg for rf, rg in zip(f, g)]
+        + [col + tuple(x + t * y for x, y in zip(rb, rs))
+           for col, rb, rs in zip(zip(*g), b, s)])
+    labels = z3_labels(n, 1, 2)
+    fixed = {lab: p for p, lab in enumerate(Q3_FIXED)}
+    cls = {c: p for p, c in enumerate(Q3_CLASSES)}
+
+    cert = verify_ldlt(RationalMatrix(m))
+    if not cert.psd:  # w_F on the fixed positions, w_C/(n-2) on every class
+        w = [Fraction(x) for x in cert.witness["vector"]]
+        v = [w[fixed[lab]] if lab in fixed else t * w[6 + cls[lab[:2]]]
+             for lab in labels]
+        return Q3Verdict(False, vector=tuple(v),
+                         value=Fraction(cert.witness["value"]),
+                         block=f"M({t})" if n > 2 else "F")
+    if n < 4:
+        return Q3Verdict(True, nullity=cert.nullity)
+    s_cert = verify_ldlt(RationalMatrix(s))
+    if not s_cert.psd:  # w at k = 3 and -w at k = 4 give 2 w^T S w
+        w = [Fraction(x) for x in s_cert.witness["vector"]]
+        sign = {3: 1, 4: -1}
+        v = [sign[lab[2]] * w[cls[lab[:2]]] if lab[2] in sign else Fraction(0)
+             for lab in labels]
+        return Q3Verdict(False, vector=tuple(v), block="S",
+                         value=2 * Fraction(s_cert.witness["value"]))
+    return Q3Verdict(True, nullity=cert.nullity + (n - 3) * s_cert.nullity)
 
 
 def q2_labels(n: int) -> List[Tuple[str, int, int]]:

@@ -289,13 +289,14 @@ def check_psd_suite() -> CheckResult:
 
 
 def q3_psd_report(n: int) -> str:
-    """Informational: ``verify_ldlt`` on Q3(n) with the published values;
-    NOT PSD carries to every larger n (``z3_restriction_indices``)."""
-    cert = psdcert.verify_ldlt(cert84.build_certificate84(n).q3_matrix())
-    if cert.psd:
-        return f"Q3(n={n}) with published values: PSD, nullity {cert.nullity}"
+    """Informational: Q3(n) with the published values, decided on its
+    symmetry blocks (``cert84.decide_q3``); NOT PSD carries to every
+    larger n (``z3_restriction_indices``)."""
+    verdict = cert84.decide_q3(n)
+    if verdict.psd:
+        return f"Q3(n={n}) with published values: PSD, nullity {verdict.nullity}"
     return (f"Q3(n={n}) with published values: NOT PSD (vᵀQv = "
-            f"{cert.witness['value']} < 0 at index {cert.witness['index']}); "
+            f"{verdict.value} < 0 for v lifted from {verdict.block}); "
             f"so NOT PSD for every n ≥ {n}")
 
 

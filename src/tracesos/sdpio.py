@@ -27,7 +27,7 @@ from .cert42 import build_certificate42
 from .cert84 import (SYMBOLIC, Entry, Grid, InconsistentSystem, ParamSystem,
                      build_certificate84, canonical_equation)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import (Monomial, Scalar, _whole, mono_from_vars, mono_key,
+from .poly import (Monomial, Scalar, Var, _whole, mono_from_vars, mono_key,
                    mono_mul, mono_str, read_number, runs_str, var)
 from .psdcert import (PsdCertificate, RationalMatrix, _integer_rows,
                       verify_charpoly_signs)
@@ -211,10 +211,15 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
                 row = rows.setdefault(mono_mul(vec[u], vec[v]), {})
                 row[key] = row.get(key, 0) + (1 if u == v else 2)
     constraints = []
+    texts: Dict[Tuple[Var, int], str] = {}  # runs_str of each run, once
     for runs, mono in sorted(zip(map(mono_key, rows), rows)):
+        for run in runs:
+            if run not in texts:
+                texts[run] = runs_str((run,))
+        name = "*".join([texts[run] for run in runs]) or "1"
         lhs = tuple(sorted(rows[mono].items()))
         rhs = target.terms.get(mono, 0)
-        constraints.append(Constraint(f"match:{runs_str(runs)}", lhs, rhs))
+        constraints.append(Constraint(f"match:{name}", lhs, rhs))
     for b_idx, block in enumerate(basis.blocks):
         if block.grid is None:
             continue
@@ -402,18 +407,15 @@ def rationalize_and_verify(prob: SdpProblem,
         if len(raw) != dim or any(len(row) != dim for row in raw):
             raise RationalizationFailed(
                 f"block {label} has wrong shape, expected {dim}x{dim}")
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                x = raw[i][j] if j >= i else raw[j][i]
-                try:
-                    f = read_number(x, f"block {label} entry ({i},{j})")
-                except ValueError as exc:
-                    raise RationalizationFailed(str(exc)) from None
-                row.append(f.limit_denominator(denominator_bound)
-                           if isinstance(x, float) else f)
-            rows.append(row)
+        rows = [[None] * dim for _ in range(dim)]
+        for i, j in _upper(dim):  # the lower triangle mirrors the upper
+            x = raw[i][j]
+            try:
+                f = read_number(x, f"block {label} entry ({i},{j})")
+            except ValueError as exc:
+                raise RationalizationFailed(str(exc)) from None
+            rows[i][j] = rows[j][i] = (f.limit_denominator(denominator_bound)
+                                       if isinstance(x, float) else f)
         blocks.append(RationalMatrix(rows))
     report = SolutionReport(accepted=False,
                             blocks=dict(zip(labels, blocks)))

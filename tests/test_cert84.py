@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tracesos import golden
+from tracesos import cert84, checks, golden
 from tracesos.cert84 import (
+    Q3_CLASSES,
+    Q3_FIXED,
     SYMBOLIC,
     Certificate84,
     InconsistentSystem,
@@ -16,12 +19,15 @@ from tracesos.cert84 import (
     build_certificate84,
     build_q2_84,
     canonical_equation,
+    decide_q3,
     derive_param_system,
     equation_str,
     published_params,
+    q3_blocks,
     q3_grid,
     q3_pencil,
     z3_block_sizes,
+    z3_labels,
     z3_restriction_indices,
     z3_vector,
 )
@@ -29,6 +35,7 @@ from tracesos.necklace import TraceProblem, trace_coeff_matrix, \
     trace_coeff_necklace
 from tracesos.poly import Polynomial, mono_from_vars, mono_str, \
     quadratic_form, var
+from tracesos.psdcert import RationalMatrix, verify_ldlt
 
 
 def test_block_sizes_sum():
@@ -377,3 +384,74 @@ def test_symbolic_certificate_is_refused():
     for use in (assemble_sos_84, Certificate84.q3_matrix):
         with pytest.raises(ValueError, match="Q3 carries unresolved parameters"):
             use(cert)
+
+
+def _block_entry(blocks, u, v):
+    """The entry that F, G, A, B give for the pair-(1, 2) labels u, v."""
+    f, g, a, b = blocks
+    fixed = {lab: p for p, lab in enumerate(Q3_FIXED)}
+    cls = {c: p for p, c in enumerate(Q3_CLASSES)}
+    if u in fixed and v in fixed:
+        return f[fixed[u]][fixed[v]]
+    if u in fixed or v in fixed:
+        u, v = (u, v) if u in fixed else (v, u)
+        return g[fixed[u]][cls[v[:2]]]
+    return (a if u[2] == v[2] else b)[cls[u[:2]]][cls[v[:2]]]
+
+
+def test_blocks_predict_every_q3_entry():
+    for params in (None, SYMBOLIC):
+        blocks = q3_blocks(params)
+        labels = z3_labels(6, 1, 2)
+        assert q3_grid(6, params) == tuple(
+            tuple(_block_entry(blocks, u, v) for v in labels) for u in labels)
+
+
+def test_symbolic_blocks_name_every_parameter():
+    names = {x for grid in q3_blocks(SYMBOLIC) for row in grid for x in row
+             if isinstance(x, str)}
+    assert names == {f"x{k}" for k in range(1, 23)}
+
+
+def _q3_points():
+    """The published x; seeded nonnegative points far from it and near
+    it; and two points where S, not M, refutes Q3(4) and Q3(5)."""
+    rng = random.Random(2004)
+    pub = published_params()
+    far = [{k: Fraction(rng.randint(0, 40), rng.randint(1, 4))
+            for k in range(1, 23)} for _ in range(3)]
+    near = [{k: max(Fraction(0), v + Fraction(rng.randint(-20, 20), 100))
+             for k, v in pub.items()} for _ in range(3)]
+    return [pub, *far, *near, {**pub, 5: Fraction(20)}, {**pub, 16: Fraction(9)}]
+
+
+@pytest.mark.parametrize("x", _q3_points())
+def test_block_decision_is_the_full_decision(x):
+    for n in range(2, 13):
+        q = RationalMatrix(q3_grid(n, x))
+        full, got = verify_ldlt(q), decide_q3(n, x)
+        assert (got.psd, got.nullity) == (full.psd, full.nullity), n
+        if not got.psd:  # the lifted witness, on the full Q3(n)
+            v = got.vector
+            assert sum(v[i] * sum(a * b for a, b in zip(q[i], v))
+                       for i in range(q.size)) == got.value < 0, n
+
+
+def test_s_refutes_where_m_does_not():
+    x = {**published_params(), 5: Fraction(20)}
+    assert [decide_q3(n, x).block for n in range(3, 7)] == [
+        "", "S", "S", "M(1/4)"]
+
+
+def test_q3_report_builds_no_full_q3(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full Q3 built")
+
+    monkeypatch.setattr(cert84, "build_certificate84", refuse)
+    monkeypatch.setattr(cert84, "q3_grid", refuse)
+    assert checks.q3_psd_report(6) == (
+        "Q3(n=6) with published values: NOT PSD (vᵀQv = -23689/164772 < 0 "
+        "for v lifted from M(1/4)); so NOT PSD for every n ≥ 6")
+    note = checks.q3_psd_report(7)
+    assert note.startswith("Q3(n=7) with published values: NOT PSD (")
+    assert note.endswith("so NOT PSD for every n ≥ 7")

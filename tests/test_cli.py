@@ -92,13 +92,13 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
 
 
 def test_verify_all_json_is_pinned(capsys):
-    # size and SHA-256 of the report written when the identities and entry
-    # sums came to run n = 1..arc_count (4), which decides every n
+    # size and SHA-256 of the report written when the Q3 notes came to be
+    # decided on the symmetry blocks of Q3
     code, out, _ = run(capsys, "verify-all", "--json")
     blob = out.encode()
     assert code == 0
     assert (len(blob), hashlib.sha256(blob).hexdigest()) == (
-        1717, "77b6eba9afa99f057e34b31d638aa3390332d58e53066f7b45e1bd74f6b61683")
+        1738, "8e5d52a289ee691f295fe799014075d521d864b785d371075b8d0ab436b5e360")
 
 
 def test_runtime_imports_only_the_standard_library():

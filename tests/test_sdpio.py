@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import random
 import re
 from fractions import Fraction
 
@@ -424,3 +425,30 @@ def test_fractional_coefficient_stays_exact(tmp_path):
     report = rationalize_and_verify(prob, {"B0": [[1 / 3]]}, 3)
     assert not report.accepted
     assert report.violations == [("half", Fraction(1, 6), 1)]
+
+
+def test_each_float_entry_is_rounded_once(monkeypatch):
+    p = TraceProblem(8, 4, 5, diagonal_a=True)
+    prob = build_sdp(p, certificate_basis_84(5))
+    cert = build_certificate84(5)
+    exact = {"Q1": cert.q1.rows, "Q2": cert.q2.rows, "Q3": cert.q3}
+    rng = random.Random(5)
+    noisy = {}
+    for label, rows in exact.items():
+        d = len(rows)
+        out = [[0.0] * d for _ in range(d)]
+        for i, j in itertools.combinations_with_replacement(range(d), 2):
+            out[i][j] = out[j][i] = float(rows[i][j]) + rng.uniform(-5e-7, 5e-7)
+        noisy[label] = out
+    calls = []
+    rounding = Fraction.limit_denominator
+
+    def counted(self, bound):
+        calls.append(self)
+        return rounding(self, bound)
+
+    monkeypatch.setattr(Fraction, "limit_denominator", counted)
+    report = rationalize_and_verify(prob, noisy, 10**4)
+    assert len(calls) == sum(d * (d + 1) // 2 for d in (5, 30, 24))
+    assert report.accepted and not report.violations, report.reason
+    assert {k: m.rows for k, m in report.blocks.items()} == exact
