@@ -156,7 +156,10 @@ def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polyn
              for s in "ab"}
     n0 = min(p.n, p.arc_count)
     counts = _class_counts(p, table, n0)
-    return Polynomial(counts if n0 == p.n else _lift(counts, table, p.n))
+    # fresh positive counts need no copy or zero filter (a plain dict:
+    # a Counter reads 0 at a missing key)
+    return Polynomial._adopt(dict(counts) if n0 == p.n
+                             else _lift(counts, table, p.n))
 
 
 def _class_counts(p: TraceProblem, table, n0: int) -> Counter:

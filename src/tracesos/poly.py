@@ -133,6 +133,14 @@ class Polynomial:
             self.terms = {}
 
     @classmethod
+    def _adopt(cls, terms: Dict[Monomial, Scalar]) -> "Polynomial":
+        """Take ``terms`` as the term map, uncopied and unfiltered: the
+        caller built it fresh and every coefficient is nonzero."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls) -> "Polynomial":
         return cls()
 

@@ -51,7 +51,8 @@ class RationalMatrix:
     __slots__ = ("rows", "row_labels", "col_labels")
 
     def __init__(self, rows, row_labels=None, col_labels=None):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                                for x in row) for row in rows)
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):

@@ -103,10 +103,17 @@ def _splits(z: Monomial) -> List[Tuple[Monomial, Monomial]]:
     return out
 
 
+def _odd_labels(mono: Monomial) -> Tuple[int, ...]:
+    """The labels of odd degree in the monomial, a[i,i] counting i twice:
+    its sign class."""
+    deg = Counter(x for _, i, j in mono for x in (i, j))
+    return tuple(sorted(i for i, d in deg.items() if d % 2))
+
+
 def auto_basis(p: TraceProblem) -> BasisSpec:
-    """One block of the monomials of half degree: a-degree (m-r)/2 and
-    b-degree r/2 (diagonal a-variables only when requested), pruned by
-    zero diagonals.
+    """The monomials of half degree: a-degree (m-r)/2 and b-degree r/2
+    (diagonal a-variables only when requested), pruned by zero diagonals
+    and split into one block per sign class.
 
     Repeat until nothing changes: drop z when z*z is not a target
     monomial and is not h*h' for two different kept vectors.  Distinct
@@ -119,6 +126,21 @@ def auto_basis(p: TraceProblem) -> BasisSpec:
     positive count of closed walks, so nothing cancels.  Soundness never
     rests on this: ``build_sdp`` opens a row for every target monomial,
     so a wrongly dropped vector could only make the problem infeasible.
+
+    Then group the kept monomials by their odd labels, one block per
+    class: "G" for the all-even class, else "G" and the odd labels, e.g.
+    "G1,2", in sorted order of the labels.  Conjugating A and B by
+    D = diag(s), s in {+-1}^n, leaves trace((A+tB)^m) unchanged and
+    multiplies a monomial z by prod s_i^(deg_i z), deg_i z counting label
+    i over z's indices (a[i,i] twice).  So every target monomial is even
+    at every label, and a product of two classes is never one.  Averaging
+    a feasible Gram matrix over the 2^n sign matrices gives a feasible
+    PSD one that is zero between classes, so the split problem is
+    feasible exactly when the one-block problem is (Lofberg, IEEE TAC
+    2009; Gatermann & Parrilo, JPAA 2004).  The pruning is unchanged:
+    h*h' = z*z puts h and h' in one class.  Soundness still does not
+    rest on this: ``build_sdp`` opens a row for every target monomial
+    and ``rationalize_and_verify`` checks every block exactly.
     """
     if p.diagonal_a:
         a_vars = [var("a", i, i) for i in range(1, p.n + 1)]
@@ -139,7 +161,13 @@ def auto_basis(p: TraceProblem) -> BasisSpec:
         if not dead:
             break
         kept.difference_update(dead)
-    return BasisSpec((BasisBlock("G", (tuple(z for z in monos if z in kept),)),))
+    classes: Dict[Tuple[int, ...], List[Monomial]] = {}
+    for z in monos:
+        if z in kept:
+            classes.setdefault(_odd_labels(z), []).append(z)
+    return BasisSpec(tuple(
+        BasisBlock("G" + ",".join(map(str, odd)), (tuple(zs),))
+        for odd, zs in sorted(classes.items())))
 
 
 def certificate_basis_42(n: int) -> BasisSpec:

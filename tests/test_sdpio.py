@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
 import random
@@ -347,6 +348,15 @@ _PRUNED = [((8, 6, 3, False), 336, 225), ((8, 4, 4, True), 550, 172),
            ((6, 2, 4, True), 100, 22)]
 
 
+def _auto_vectors(p):
+    """The auto basis of p: its blocks' vectors joined, and each vector's
+    block label."""
+    blocks = auto_basis(p).blocks
+    assert all(len(b.vectors) == 1 for b in blocks)
+    return ([z for b in blocks for z in b.vectors[0]],
+            {z: b.label for b in blocks for z in b.vectors[0]})
+
+
 @pytest.mark.parametrize("args, full, kept", _PRUNED)
 def test_auto_basis_drops_only_provably_zero_rows(args, full, kept):
     from tracesos.poly import mono_mul
@@ -354,22 +364,26 @@ def test_auto_basis_drops_only_provably_zero_rows(args, full, kept):
 
     p = TraceProblem(*args[:3], diagonal_a=args[3])
     unpruned = _half_degree_monomials(p)
-    (vectors,) = auto_basis(p).blocks[0].vectors
+    vectors, block_of = _auto_vectors(p)
     assert (len(unpruned), len(vectors)) == (full, kept)
     target = trace_coeff_necklace(p).terms
     # the connectivity lemma decides "z*z is a target monomial"
     for z in unpruned:
         assert _connected(z) == (mono_mul(z, z) in target), z
-    # each dropped z: the match row of z*z holds only G[z][z], rhs 0
+    # each dropped z: the match row of z*z holds only G[z][z], rhs 0, even
+    # with every pair of kept vectors in one block
     off_diagonal = {mono_mul(v, w) for i, v in enumerate(vectors)
                     for w in vectors[i + 1:]}
     for z in unpruned - set(vectors):
         square = mono_mul(z, z)
         assert square not in target and square not in off_diagonal, z
-    # and nothing kept could be dropped by the same argument
+    # and nothing kept could be dropped by the same argument, its witness
+    # pair lying in one block
+    in_block = {mono_mul(v, w) for i, v in enumerate(vectors)
+                for w in vectors[i + 1:] if block_of[v] == block_of[w]}
     for z in vectors:
         square = mono_mul(z, z)
-        assert square in target or square in off_diagonal, z
+        assert square in target or square in in_block, z
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -380,8 +394,11 @@ def test_auto_basis_keeps_every_certificate_vector(n):
             ([c84.z1, c84.z2, *c84.z3_family.values()],
              TraceProblem(8, 4, n, diagonal_a=True))):
         used = {m for vec in vectors for m in vec}
-        (kept,) = auto_basis(p).blocks[0].vectors
+        kept, block_of = _auto_vectors(p)
         assert used and used <= set(kept), p
+        # each certificate vector lies in one sign class
+        for vec in vectors:
+            assert len({block_of[m] for m in vec}) == 1, (p, vec)
 
 
 def test_auto_basis_shrinks_the_863_problem(tmp_path):
@@ -389,10 +406,99 @@ def test_auto_basis_shrinks_the_863_problem(tmp_path):
     prob = build_sdp(p, auto_basis(p))
     path = tmp_path / "auto.dat-s"
     export_sdpa(prob, str(path))
-    assert prob.blocks == (("G", 225),)
-    assert len(prob.constraints) == 7209
-    assert os.path.getsize(path) == 828_492
+    assert prob.blocks == (("G", 45), ("G1,2", 60), ("G1,3", 60),
+                           ("G2,3", 60))
+    assert len(prob.constraints) == 1749
+    assert os.path.getsize(path) == 194_843
     assert import_sdpa(str(path)) == prob
+
+
+@pytest.mark.parametrize("args", [(4, 2, 3, False), (6, 2, 3, False),
+                                  (8, 6, 3, False), (8, 4, 4, True)])
+def test_target_monomials_are_even_at_every_label(args):
+    """The premise of the sign-class split: conjugating A and B by a
+    diagonal sign matrix leaves the trace unchanged, so no target
+    monomial has a label of odd degree."""
+    from tracesos.sdpio import _odd_labels
+
+    p = TraceProblem(*args[:3], diagonal_a=args[3])
+    target = trace_coeff_necklace(p).terms
+    assert target and all(_odd_labels(z) == () for z in target)
+
+
+def test_auto_basis_blocks_are_sign_classes():
+    from tracesos.sdpio import _odd_labels
+
+    p = TraceProblem(8, 4, 4, diagonal_a=True)
+    blocks = auto_basis(p).blocks
+    assert [b.label for b in blocks] == [
+        "G", "G1,2", "G1,2,3,4", "G1,3", "G1,4", "G2,3", "G2,4", "G3,4"]
+    assert [b.dim for b in blocks] == [28, 22, 12, 22, 22, 22, 22, 22]
+    for b in blocks:
+        assert {"G" + ",".join(map(str, _odd_labels(z)))
+                for z in b.vectors[0]} == {b.label}
+    # a basis of one class keeps its one-block label
+    for args in ((4, 0, 1), (4, 2, 1)):
+        assert [b.label for b in auto_basis(TraceProblem(*args)).blocks] \
+            == ["G"]
+
+
+def _published_pieces(m, n):
+    """(vector, Gram rows) of each square of the published (m, r) =
+    (4, 2) or diagonal-A (8, 4) certificate at size n."""
+    if m == 4:
+        c = build_certificate42(n)
+        return [(c.z1, c.q1.rows)] + [(z, c.q2.rows)
+                                      for z in c.z2_family.values()]
+    c = build_certificate84(n)
+    return ([(c.z1, c.q1.rows), (c.z2, c.q2.rows)]
+            + [(z, c.q3) for z in c.z3_family.values()])
+
+
+def _embed_in_auto_basis(basis, pieces):
+    """The auto-basis Gram blocks of the sum of squares sum z^T Q z over
+    the pieces (z, Q), each z inside one block."""
+    where = {z: (b.label, k) for b in basis.blocks
+             for k, z in enumerate(b.vectors[0])}
+    grams = {b.label: [[Fraction(0)] * b.dim for _ in range(b.dim)]
+             for b in basis.blocks}
+    for vec, q in pieces:
+        (label,) = {where[z][0] for z in vec}
+        at = [where[z][1] for z in vec]
+        for u, v in itertools.product(range(len(vec)), repeat=2):
+            grams[label][at[u]][at[v]] += q[u][v]
+    return grams
+
+
+@pytest.mark.parametrize("m, n", [(4, 2), (4, 3), (4, 4), (8, 2), (8, 3)])
+def test_published_certificates_are_feasible_in_the_auto_basis(m, n):
+    p = (TraceProblem(4, 2, n) if m == 4
+         else TraceProblem(8, 4, n, diagonal_a=True))
+    basis = auto_basis(p)
+    prob = build_sdp(p, basis)
+    grams = _embed_in_auto_basis(basis, _published_pieces(m, n))
+    report = rationalize_and_verify(prob, grams, 1)
+    assert report.accepted, report.reason
+    assert set(report.psd_certs) == {b.label for b in basis.blocks}
+    assert len(basis.blocks) > 1
+
+
+def test_cli_verifies_the_published_422_certificate_in_the_auto_basis(
+        tmp_path, capsys):
+    from tracesos.cli import main
+
+    prob = tmp_path / "auto.dat-s"
+    assert main(["sdp-export", "--m", "4", "--r", "2", "--n", "2",
+                 "--basis", "auto", "--out", str(prob)]) == 0
+    assert "blocks [('G', 3), ('G1,2', 4)]" in capsys.readouterr().out
+    grams = _embed_in_auto_basis(auto_basis(TraceProblem(4, 2, 2)),
+                                 _published_pieces(4, 2))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({label: [[str(x) for x in row] for row in rows]
+                               for label, rows in grams.items()}))
+    assert main(["sdp-verify", "--prob", str(prob), "--solution", str(sol),
+                 "--den-bound", "1"]) == 0
+    assert capsys.readouterr().out.startswith("accepted")
 
 
 def _coefficients(prob):
