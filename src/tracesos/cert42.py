@@ -21,7 +21,12 @@ position's labels, plus the pair (i, j) for z2.  So a square's monomial
 uses at most 4 labels, and the size-n sum of squares, kept to the
 monomials on a label set S, is the size-|S| sum of squares under the
 increasing map from [|S|] onto S.  The target restricts the same way
-(``necklace``), so the identity at n = 4 gives it for every n.
+(``necklace``), so the identity at n = 4 gives it for every n.  The
+same lemma sizes the PSD routes: Q1 = 6 U^T U
+(:func:`build_q1_gram_factor`) and Q2 = [[4,2],[2,4]] (x) J_n
+(:func:`q2_kron_factors`) hold entry by entry, each entry of a matrix
+or factor sees only the labels of its two positions, so both hold at
+every n once they hold at n = 4.
 """
 
 from __future__ import annotations

@@ -36,7 +36,10 @@ the monomials on a label set S, is the size-|S| sum of squares under the
 increasing map from [|S|] onto S.  The target restricts the same way
 (``necklace``), so the identity at n = 4 gives it for every n.  And
 since Q3(6) is a principal submatrix of Q3(n) for n >= 6, Q3(6) NOT PSD
-makes every such Q3(n) NOT PSD.
+makes every such Q3(n) NOT PSD.  Q2 is PSD for every n: an entry of
+:func:`_q2_entry` sees at most 4 labels, so Q2(4) zero across unordered
+pairs and equal to the 3x3 Q2(2) on each pair makes every Q2(n) C(n, 2)
+copies of Q2(2) after a permutation.
 
 Q3 also splits by symmetry.  A rule of :data:`Q3_TABLE` sees only the
 blocks and sides of its two labels and whether they share k, so Q3(n)

@@ -236,41 +236,40 @@ def check_param_system(system=None) -> CheckResult:
 
 
 def check_psd_suite() -> CheckResult:
-    """Structured PSD certificates for all certificate matrices: Gram and
-    Kronecker for the (4,2) matrices up to n=8, Schur for the (8,4) Q2 up
-    to n=6, charpoly for Q3(n=5) and so for its restrictions Q3(n=2..4)."""
-    problems = []
+    """Structured PSD certificates for the certificate matrices, for every
+    n.  Each route runs once, at the size the restriction lemma gives
+    (``cert42``, ``cert84``): an entry of a matrix or of its factors sees
+    only the at most 4 labels of its two positions, so a route that
+    checks entry by entry at n = 4 holds at every n.  Gram: the (4,2) Q1
+    is 6 U^T U.  Kronecker: the (4,2) Q2 is [[4,2],[2,4]] (x) J_n, J_n
+    PSD.  Schur: the (8,4) Q2(4) is zero across unordered pairs and Q2(2)
+    on each, so every Q2(n) is copies of the 3x3 Q2(2), complement
+    [[52/5]].  Charpoly: Q3(5), and so its restrictions Q3(n=2..4)."""
     # what a route raises when the certificate does not fit its matrix
     wrong = (psdcert.FactorMismatch, psdcert.NotAKroneckerProduct,
              psdcert.SingularLeadingBlock)
-    for n in range(1, 9):
-        cert = cert42.build_certificate42(n)
-        u, scale = cert42.build_q1_gram_factor(n)
+    q2, q2_pair = cert84.build_q2_84(4), cert84.build_q2_84(2)
+    pairs = [tuple(sorted(lab[1:])) for lab in q2.row_labels]
+    problems = [f"q2 n=4: entry ({a},{b}) joins pairs {pairs[a]} and "
+                f"{pairs[b]}" for a, row in enumerate(q2.rows)
+                for b, x in enumerate(row) if x and pairs[a] != pairs[b]][:1]
+    problems += [f"q2 n=4: pair {pair} is not Q2(n=2)"
+                 for pair in sorted(set(pairs)) if q2_pair != q2.submatrix(
+                     [a for a, p in enumerate(pairs) if p == pair])]
+    for name, route, *args in (
+            ("gram n=4", psdcert.verify_gram_factor, cert42.build_q1(4),
+             *cert42.build_q1_gram_factor(4)),
+            ("tensor n=4", psdcert.verify_tensor_psd, cert42.build_q2(4),
+             *cert42.q2_kron_factors(4)),
+            ("schur n=2", psdcert.verify_schur, q2_pair, 2)):
         try:
-            if not psdcert.verify_gram_factor(cert.q1, u, scale).psd:
-                problems.append(f"gram n={n}")
+            cert = route(*args)
         except wrong as exc:
-            problems.append(f"gram n={n}: {exc}")
-        if n >= 2:
-            left, right = cert42.q2_kron_factors(n)
-            try:
-                if not psdcert.verify_tensor_psd(cert.q2, left, right).psd:
-                    problems.append(f"tensor n={n}")
-            except wrong as exc:
-                problems.append(f"tensor n={n}: {exc}")
-    for n in range(2, 7):
-        q2 = cert84.build_q2_84(n)
-        split = n * (n - 1)
-        try:
-            cert = psdcert.verify_schur(q2, split)
-        except wrong as exc:
-            problems.append(f"schur n={n}: {exc}")
+            problems.append(f"{name}: {exc}")
             continue
-        comp = cert.witness["complement"]["rows"]
-        if not (cert.psd and all(x == ("52/5" if i == j else "0")
-                                 for i, row in enumerate(comp)
-                                 for j, x in enumerate(row))):
-            problems.append(f"schur n={n}")
+        if not cert.psd or cert.witness.get("complement") not in (
+                None, {"rows": [["52/5"]]}):
+            problems.append(name)
     try:
         REPRODUCIBLES["Q3-n5-charpoly"]()
     except GoldenMismatch as exc:

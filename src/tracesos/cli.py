@@ -172,8 +172,7 @@ def cmd_sdp_export(args) -> int:
     else:
         raise ValueError("--basis certificate is only available for (4,2) "
                          "and diagonal-A (8,4)")
-    prob = sdpio.build_sdp(problem, basis, budget=args.budget,
-                           entry_sum_constraint=args.entry_sum)
+    prob = sdpio.build_sdp(problem, basis, budget=args.budget)
     sdpio.export_sdpa(prob, args.out)
     print(f"wrote {args.out}: {len(prob.constraints)} constraints, "
           f"blocks {list(prob.blocks)}")
@@ -296,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--diagonal-a", action="store_true")
     p.add_argument("--basis", choices=("auto", "certificate"), default="auto")
-    p.add_argument("--entry-sum", action="store_true",
-                   help="add the total-count linear constraint")
     p.add_argument("--out", required=True)
     add_budget(p)
     p.set_defaults(func=cmd_sdp_export)

@@ -219,8 +219,7 @@ class SdpProblem:
 
 
 def build_sdp(p: TraceProblem, basis: BasisSpec,
-              budget: Optional[int] = None,
-              entry_sum_constraint: bool = False) -> SdpProblem:
+              budget: Optional[int] = None) -> SdpProblem:
     """Coefficient-matching feasibility problem over the given basis.
 
     One match constraint per monomial spanned by the target or by any
@@ -265,14 +264,6 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
                 constraints.append(Constraint(
                     f"tie:{block.label}:{name}:{idx}",
                     (((b_idx, *head), 1), ((b_idx, *other), -1)), 0))
-    if entry_sum_constraint:
-        lhs: Dict[Tuple[int, int, int], int] = {}
-        for b_idx, block in enumerate(basis.blocks):
-            copies = len(block.vectors)
-            for u, v in _upper(block.dim):
-                lhs[(b_idx, u, v)] = copies * (1 if u == v else 2)
-        constraints.append(Constraint(
-            "entrysum", tuple(sorted(lhs.items())), p.necklace_count()))
     return SdpProblem(
         m=p.m, r=p.r, n=p.n, diagonal_a=p.diagonal_a,
         blocks=tuple((b.label, b.dim) for b in basis.blocks),

@@ -93,13 +93,37 @@ def test_identity_at_n4_decides_every_n(problem, sos):
     assert on({2, 4, 5}) == relabel(sos(3), {1: 2, 2: 4, 3: 5})
 
 
-def test_identity_checks_catch_a_defect_first_seen_at_n4(monkeypatch):
-    # each defect needs two disjoint pairs, or two indices outside {i, j},
-    # so both sides still agree at n = 1..3 and first differ at n = 4
+def test_restricted_psd_matrices_are_the_smaller_ones():
+    # the premises of check_psd_suite's sizes: the size-6 (4,2) Q1 and U
+    # and (8,4) Q2, kept to the positions whose labels lie in a set S, are
+    # the size-|S| matrices under the increasing map onto S
     from tracesos import cert42, cert84
     from tracesos.psdcert import RationalMatrix
 
-    build_q1 = cert42.build_q1
+    q1, q2 = cert42.build_q1(6), cert84.build_q2_84(6)
+    u, _ = cert42.build_q1_gram_factor(6)
+
+    def inside(labels, s: set) -> list:
+        return [a for a, lab in enumerate(labels) if set(lab) <= s]
+
+    for s in [set(range(1, n_s + 1)) for n_s in range(1, 6)] + [{2, 4, 5}]:
+        n_s, cols = len(s), inside(u.col_labels, s)
+        assert q1.submatrix(inside(q1.row_labels, s)) == cert42.build_q1(n_s)
+        assert RationalMatrix([[u[k - 1][c] for c in cols] for k in sorted(s)]
+                              ) == cert42.build_q1_gram_factor(n_s)[0], s
+        assert q2.submatrix(inside([lab[1:] for lab in q2.row_labels], s)
+                            ) == cert84.build_q2_84(n_s), s
+
+
+def test_identity_checks_catch_a_defect_first_seen_at_n4(monkeypatch):
+    # each defect needs two disjoint pairs, or two indices outside {i, j},
+    # so both sides still agree at n = 1..3 and first differ at n = 4; so
+    # does each matrix, and a PSD suite sized at n <= 3 would miss it
+    from tracesos import cert42, cert84
+    from tracesos.psdcert import RationalMatrix
+
+    build_q1, q2_entry = cert42.build_q1, cert84._q2_entry
+    before = {n: (build_q1(n), cert84.build_q2_84(n)) for n in range(1, 4)}
 
     def q1_plus_one_between_disjoint_pairs(n):
         q1 = build_q1(n)
@@ -109,14 +133,24 @@ def test_identity_checks_catch_a_defect_first_seen_at_n4(monkeypatch):
               for y, q in zip(labels, row)]
              for x, row in zip(labels, q1.rows)], row_labels=labels)
 
+    def q2_plus_one_between_disjoint_pairs(u, v):
+        return q2_entry(u, v) + (not set(u[1:]) & set(v[1:]))
+
     monkeypatch.setattr(cert42, "build_q1", q1_plus_one_between_disjoint_pairs)
+    monkeypatch.setattr(cert84, "_q2_entry", q2_plus_one_between_disjoint_pairs)
     # published (3, 6) reads x13 = 2 at different k; x14 = 8
     monkeypatch.setitem(cert84.Q3_TABLE, (3, 6), ("k", "x15", "x14"))
+    assert before == {n: (cert42.build_q1(n), cert84.build_q2_84(n))
+                      for n in range(1, 4)}
     for check in (checks.check_identity_42, checks.check_identity_84):
         result = check()
         assert not result.ok
         assert result.detail.startswith("identity fails at n=[4];"), \
             result.detail
+    suite = checks.check_psd_suite()
+    assert not suite.ok
+    assert "'gram n=4: entry (4,9)" in suite.detail, suite.detail
+    assert "'q2 n=4: entry" in suite.detail, suite.detail
 
 
 def test_criterion_7_param_system():

@@ -58,14 +58,14 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
     # necklace oracle still enumerated every cycle at the full n, the
     # next two while certificate vectors held one-term polynomials, the
     # two before the last while Q3 parameters were affine polynomial
-    # coefficients, and the last, with its pins, ties and entry-sum row,
-    # while each basis block copied its grid into pinned values and
-    # equality classes.
+    # coefficients.  The first and the last, with their pins and ties,
+    # were written without the entry-sum row they used to carry, just
+    # before that row was retired.
     path = tmp_path / "out"
     for argv, size, digest in (
             (("sdp-export", "--m", "4", "--r", "2", "--n", "3", "--basis",
-              "certificate", "--entry-sum", "--out"), 4366,
-             "19ddd637ae2560031e278f49010d4b720aec5bdc767edd5b66329c4e948d27a5"),
+              "certificate", "--out"), 3882,
+             "24e23adf77bd2ce4fa67b8e2472dc06073402bd06aff9b4d516d6b94ff89fafa"),
             (("coeff", "--m", "6", "--r", "2", "--n", "2", "--out"), 1859,
              "6813f414cebce4c8a97170f1a16102b16db749123edb749e1534b3e45586346b"),
             (("coeff", "--m", "8", "--r", "4", "--n", "9", "--diagonal-a",
@@ -83,8 +83,8 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
             (("paramsys", "--n", "5", "--emit"), 834,
              "8923024f92fc1046f78e1b83f1601257370434c846eca9a9d85cb74f0f491fd1"),
             (("sdp-export", "--m", "8", "--r", "4", "--n", "5", "--diagonal-a",
-              "--basis", "certificate", "--entry-sum", "--out"), 195648,
-             "90d49148d20f58762fed152bb6d2509699c52efa34879ad7ff4fa1983753fad3")):
+              "--basis", "certificate", "--out"), 184153,
+             "e2331760f5dcb479493ab4640a004948fd9f81b8078c7ef156b19228aa1fb8e0")):
         code, _, _ = run(capsys, *argv, str(path))
         blob = path.read_bytes()
         assert code == 0
@@ -462,7 +462,7 @@ def test_wrong_certificate_fails_verification(monkeypatch, capsys):
     lines = [line for line in out.splitlines() if not line.startswith(" ")]
     assert len(lines) == 11, out
     psd = next(line for line in lines if "psd-certificates" in line)
-    assert psd.startswith("FAIL") and "gram n=2: entry (0,0)" in psd, psd
+    assert psd.startswith("FAIL") and "gram n=4: entry (0,0)" in psd, psd
     identity = next(line for line in lines if "identity-42" in line)
     assert identity == (
         "FAIL identity-42: identity fails at n=[2, 3, 4]; first "

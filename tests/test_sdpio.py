@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import math
 import os
 import random
 import re
@@ -217,19 +216,6 @@ def test_import_raises_only_value_error(tmp_path, lines):
         import_sdpa(str(path))
     except ValueError:
         pass
-
-
-def test_entry_sum_constraint_optional():
-    p = TraceProblem(4, 2, 2)
-    base = build_sdp(p, certificate_basis_42(2))
-    assert all(c.name != "entrysum" for c in base.constraints)
-    with_sum = build_sdp(p, certificate_basis_42(2), entry_sum_constraint=True)
-    con = next(c for c in with_sum.constraints if c.name == "entrysum")
-    assert con.rhs == math.comb(4, 2) * 2**4
-    cert = build_certificate42(2)
-    report = rationalize_and_verify(
-        with_sum, {"Q1": cert.q1.rows, "Q2": cert.q2.rows}, 1)
-    assert report.accepted and not report.violations
 
 
 def test_published_point_satisfies_843_problem():
@@ -506,18 +492,17 @@ def _coefficients(prob):
             + [con.rhs for con in prob.constraints])
 
 
-@pytest.mark.parametrize("p, basis, entry_sum", [
-    (TraceProblem(4, 2, 3), certificate_basis_42(3), True),
-    (TraceProblem(8, 4, 5, diagonal_a=True), certificate_basis_84(5), False)])
-def test_whole_coefficients_are_ints(tmp_path, p, basis, entry_sum):
-    prob = build_sdp(p, basis, entry_sum_constraint=entry_sum)
+@pytest.mark.parametrize("p, basis", [
+    (TraceProblem(4, 2, 3), certificate_basis_42(3)),
+    (TraceProblem(8, 4, 5, diagonal_a=True), certificate_basis_84(5))])
+def test_whole_coefficients_are_ints(tmp_path, p, basis):
+    prob = build_sdp(p, basis)
     path = tmp_path / "p.dat-s"
     export_sdpa(prob, str(path))
     again = import_sdpa(str(path))
     for built in (prob, again):
         assert {type(c) for c in _coefficients(built)} == {int}
     assert again == prob
-    assert any(c.name == "entrysum" for c in prob.constraints) == entry_sum
 
 
 def test_fractional_coefficient_stays_exact(tmp_path):
