@@ -183,8 +183,6 @@ def classify_necklace(k: Necklace) -> CollectionTag:
         return CollectionTag(sub, ("Q1", row, col))
 
     if not alternating:
-        t_aa = next(t for t in range(4) if l[t] == "a" and l[(t + 1) % 4] == "a")
-        t_bb = next(t for t in range(4) if l[t] == "b" and l[(t + 1) % 4] == "b")
         k_, l_ = e[t_aa], e[t_bb]
         i_ = next(e[t] for t in range(4) if l[t] == "b" and l[(t + 1) % 4] == "a")
         j_ = next(e[t] for t in range(4) if l[t] == "a" and l[(t + 1) % 4] == "b")

@@ -13,9 +13,9 @@ parameters satisfy an 11-equation linear system, which
 :func:`derive_param_system` re-derives from scratch by coefficient
 matching against the necklace oracle.  The parameters live in this module
 only: a symbolic Q3 names them by the strings "x1".."x22", and since the
-sum of squares is affine in x it is the pencil S(0) + sum_k x_k*S_k, where
-S_k expands the 0/1 grid E_k of the entries named x_k
-(:func:`q3_pencil`).  Matching reads one equation per monomial off it.
+sum of squares is affine in x it is S(0) + sum_k x_k*S_k, where S_k sums
+the z3 products at the entries named x_k; matching reads one equation
+per monomial off it (:func:`coefficient_match_equations`).
 
 Q3 and its vector are data, not index loops.  Each position of the
 pair-(i, j) vector is the monomial a[p,p]*a[q,q]*b[i,k]*b[j,k] and has
@@ -74,6 +74,7 @@ from .poly import (
     Polynomial,
     mono_from_vars,
     mono_key,
+    mono_mul,
     mono_str,
     quadratic_form,
     var,
@@ -523,33 +524,30 @@ class ParamSystem:
         return "\n".join(equation_str(eq) for eq in self.equations)
 
 
-def q3_pencil(n: int) -> Dict[int, Grid]:
-    """The 0/1 grid E_k of the Q3 entries named x_k, for k = 1..22, so that
-    Q3(x) = Q3(0) + sum_k x_k*E_k."""
-    names = q3_grid(n, SYMBOLIC)
-    return {k: tuple(tuple(int(x == f"x{k}") for x in row) for row in names)
-            for k in range(1, PARAM_COUNT + 1)}
-
-
 def coefficient_match_equations(n: int) -> ParamSystem:
     """Every linear condition the identity forces on x1..x22 at size n.
 
     The squares minus the necklace oracle's coefficient polynomial are
     S(0) + sum_k x_k*S_k: S(0) assembles the certificate at x = 0 and
-    subtracts the target, S_k expands E_k (:func:`q3_pencil`) against the
-    z3 family.  Each monomial gives one canonical equation.  Below n = 4
-    some entry classes never meet a monomial, so the system comes out
-    weaker.  A parameter-free coefficient is named at its lowest monomial.
+    subtracts the target, and one pass over the upper triangle of the
+    symbolic Q3 adds each entry named x_k, weight 1 on the diagonal and
+    2 off it, to S_k at the product of its two z3 monomials.  Each
+    monomial gives one canonical equation.  Below n = 4 some entry
+    classes never meet a monomial, so the system comes out weaker.  A
+    parameter-free coefficient is named at its lowest monomial.
     """
     cert = build_certificate84(
         n, params=dict.fromkeys(range(1, PARAM_COUNT + 1), 0))
     s0 = assemble_sos_84(cert) - trace_coeff_necklace(
         TraceProblem(8, 4, n, diagonal_a=True))
+    named = [(u, v, int(x[1:]), 1 if u == v else 2)
+             for u, row in enumerate(q3_grid(n, SYMBOLIC))
+             for v, x in enumerate(row[u:], u) if isinstance(x, str)]
     linear: Dict[Monomial, Dict[int, int]] = {}
-    for k, e_k in q3_pencil(n).items():
-        s_k = quadratic_form([(e_k, z3) for z3 in cert.z3_family.values()])
-        for m, c in s_k.terms.items():
-            linear.setdefault(m, {})[k] = c
+    for z3 in cert.z3_family.values():
+        for u, v, k, w in named:
+            coeffs = linear.setdefault(mono_mul(z3[u], z3[v]), {})
+            coeffs[k] = coeffs.get(k, 0) + w
     fixed = [m for m in s0.terms if m not in linear]
     if fixed:
         mono = min(fixed, key=mono_key)

@@ -275,11 +275,11 @@ def check_psd_suite() -> CheckResult:
     except GoldenMismatch as exc:
         problems.append(f"q3 n=5 charpoly: {exc}")
     # a principal submatrix of a PSD matrix is PSD, so Q3(5) covers these
-    q3 = cert84.build_certificate84(5).q3_matrix()
+    q3 = psdcert.RationalMatrix(cert84.q3_grid(5))
     problems += [f"q3 n={n_sub}: not the restriction of Q3(5)"
                  for n_sub in (2, 3, 4)
                  if q3.submatrix(cert84.z3_restriction_indices(5, n_sub))
-                 != cert84.build_certificate84(n_sub).q3_matrix()]
+                 != psdcert.RationalMatrix(cert84.q3_grid(n_sub))]
     return CheckResult(
         "psd-certificates", not problems,
         "gram/tensor/schur/charpoly routes all certify, "
@@ -439,7 +439,7 @@ def _reproduce_z_n3() -> str:
 
 
 def _reproduce_q3_charpoly() -> str:
-    cert = psdcert.verify_charpoly_signs(cert84.build_certificate84(5).q3_matrix())
+    cert = psdcert.verify_charpoly_signs(psdcert.RationalMatrix(cert84.q3_grid(5)))
     coeffs = cert.witness["charpoly"]
     return compare_golden({"q3_charpoly_n5_84": {"coeffs_desc": coeffs,
                                                  "nullity": cert.nullity}},
@@ -468,7 +468,7 @@ REPRODUCIBLES: Dict[str, Callable[[], str]] = {
     "Q1-n1": _reproduce_q1_n1,
     "z-n3": _reproduce_z_n3,
     "counterexample-ABAB": lambda: _passed(check_counterexample()),
-    "Q3-n5": lambda: _matrix("q3_n5_84", cert84.build_certificate84(5).q3_matrix()),
+    "Q3-n5": lambda: _matrix("q3_n5_84", psdcert.RationalMatrix(cert84.q3_grid(5))),
     "Q3-n5-symbolic": lambda: compare_golden(
         {"q3_symbolic_n5_84": {"entries": cert84.q3_grid(5, cert84.SYMBOLIC)}},
         "parametrized Q3(n=5) matches transcription"),

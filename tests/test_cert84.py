@@ -19,13 +19,13 @@ from tracesos.cert84 import (
     build_certificate84,
     build_q2_84,
     canonical_equation,
+    coefficient_match_equations,
     decide_q3,
     derive_param_system,
     equation_str,
     published_params,
     q3_blocks,
     q3_grid,
-    q3_pencil,
     z3_block_sizes,
     z3_labels,
     z3_restriction_indices,
@@ -33,8 +33,7 @@ from tracesos.cert84 import (
 )
 from tracesos.necklace import TraceProblem, trace_coeff_matrix, \
     trace_coeff_necklace
-from tracesos.poly import Polynomial, mono_from_vars, mono_str, \
-    quadratic_form, var
+from tracesos.poly import Polynomial, mono_from_vars, mono_str, var
 from tracesos.psdcert import RationalMatrix, verify_ldlt
 
 
@@ -358,24 +357,35 @@ def test_n4_identity_still_holds_under_any_system_solution():
             trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True)), n
 
 
-def test_pencil_at_published_x_is_the_assembly():
-    # Q3(x) = Q3(0) + sum_k x_k*E_k, and so the squares are
-    # S(0) + sum_k x_k*S_k, with S_k the z3 family expanded against E_k
-    vals = published_params()
-    zero = dict.fromkeys(range(1, 23), 0)
+def _match_points():
+    """The published x, x moved along the solution set, and seeded
+    nonnegative points off the system."""
+    moved = published_params()
+    moved[1] += 2
+    moved[2] -= 2
+    moved[17] += 2
+    rng = random.Random(25)
+    off = [{k: Fraction(rng.randint(0, 40), rng.randint(1, 4))
+            for k in range(1, 23)} for _ in range(3)]
+    return [published_params(), moved, *off]
+
+
+def test_matched_system_holds_exactly_where_the_identity_does():
+    # the symbolic Q3 names x_k where Q3(x) holds x_k, and the matched
+    # system holds at x exactly when the squares at x are the target
     for n in (3, 4):
-        cert0 = build_certificate84(n, params=zero)
-        pencil = q3_pencil(n)
-        total = assemble_sos_84(cert0)
-        grid = [list(row) for row in cert0.q3]
-        for k, e_k in pencil.items():
-            total = total + vals[k] * quadratic_form(
-                [(e_k, z3) for z3 in cert0.z3_family.values()])
-            grid = [[x + vals[k] * e for x, e in zip(row, e_row)]
-                    for row, e_row in zip(grid, e_k)]
-        cert = build_certificate84(n)
-        assert total == assemble_sos_84(cert), n
-        assert tuple(map(tuple, grid)) == cert.q3, n
+        names = q3_grid(n, SYMBOLIC)
+        system = coefficient_match_equations(n)
+        target = trace_coeff_necklace(TraceProblem(8, 4, n, diagonal_a=True))
+        holds = []
+        for x in _match_points():
+            assert q3_grid(n, x) == tuple(
+                tuple(x[int(e[1:])] if isinstance(e, str) else e for e in row)
+                for row in names), n
+            identity = assemble_sos_84(build_certificate84(n, x)) == target
+            assert system.satisfied_by(x) == identity, n
+            holds.append(identity)
+        assert holds == [True, True, False, False, False], n
 
 
 def test_symbolic_certificate_is_refused():

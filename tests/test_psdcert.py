@@ -297,6 +297,18 @@ def test_psd_suite_names_a_broken_restriction(monkeypatch):
     assert "q3 n=2: not the restriction of Q3(5)" in result.detail, result.detail
 
 
+def test_psd_suite_builds_no_whole_certificate84(monkeypatch):
+    # the suite reads only Q3 grids of the (8,4) certificate
+    from tracesos import cert84, checks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole Certificate84 built")
+
+    monkeypatch.setattr(cert84, "build_certificate84", refuse)
+    result = checks.check_psd_suite()
+    assert result.ok, result.detail
+
+
 def test_principal_minor_monotonicity_spot_check():
     q3 = build_certificate84(5).q3_matrix()
     assert verify_charpoly_signs(q3).psd
