@@ -62,6 +62,7 @@ witness of either one to Q3(n).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -72,6 +73,7 @@ from .necklace import TraceProblem, trace_coeff_necklace
 from .poly import (
     Monomial,
     Polynomial,
+    Scalar,
     mono_from_vars,
     mono_key,
     mono_mul,
@@ -79,7 +81,7 @@ from .poly import (
     quadratic_form,
     var,
 )
-from .psdcert import RationalMatrix, verify_ldlt
+from .psdcert import RationalMatrix, entry_total, verify_ldlt
 
 SYMBOLIC = "symbolic"
 
@@ -376,11 +378,13 @@ class Certificate84:
         """The sum of all entries of the certificate's matrices, Q3 counted
         once per pair: a Fraction, or a LinearForm if symbolic."""
         pairs = comb(self.n, 2)
-        form = LinearForm({0: self.q1.entry_sum() + self.q2.entry_sum()})
-        for row in self.q3:
-            for x in row:
-                k, c = (int(x[1:]), 1) if isinstance(x, str) else (0, x)
-                form[k] = form.get(k, 0) + pairs * c
+        named = Counter(int(x[1:]) for row in self.q3 for x in row
+                        if isinstance(x, str))
+        known = [[0 if isinstance(x, str) else x for x in row]
+                 for row in self.q3]
+        form = LinearForm({0: self.q1.entry_sum() + self.q2.entry_sum()
+                           + pairs * entry_total(known)})
+        form.update((k, pairs * c) for k, c in named.items())
         return form if self.symbolic else form[0]
 
 
@@ -415,14 +419,17 @@ def assemble_sos_84(cert: Certificate84) -> Polynomial:
 Equation = Tuple[Tuple[Tuple[int, int], ...], int]
 
 
-def canonical_equation(coeffs: Mapping[int, Fraction], rhs) -> Equation:
-    items = [(k, Fraction(c)) for k, c in sorted(coeffs.items()) if c != 0]
-    rhs = Fraction(rhs)
+def canonical_equation(coeffs: Mapping[int, Scalar], rhs: Scalar) -> Equation:
+    """sum_k c_k*x_k = rhs, from int or Fraction coefficients (zeros
+    dropped), as whole numbers with gcd 1 and the first coefficient
+    positive; cleared in ints through each value's numerator and
+    denominator."""
+    items = [(k, c) for k, c in sorted(coeffs.items()) if c]
     if not items:
         raise ValueError("empty equation")
-    denom_lcm = lcm(rhs.denominator, *(c.denominator for _, c in items))
-    ints = [(k, int(c * denom_lcm)) for k, c in items]
-    r = int(rhs * denom_lcm)
+    den = lcm(rhs.denominator, *(c.denominator for _, c in items))
+    ints = [(k, c.numerator * (den // c.denominator)) for k, c in items]
+    r = rhs.numerator * (den // rhs.denominator)
     g = gcd(r, *(c for _, c in ints))
     g = g if ints[0][1] > 0 else -g  # first coefficient positive
     return tuple((k, c // g) for k, c in ints), r // g

@@ -23,7 +23,12 @@ so a lifted monomial needs no sort.
 Two independent constructions of the same polynomial are provided: direct
 enumeration of the cycles, and symbolic powering of the n-by-n matrix
 A + tB kept as its t-slices up to t^r.  They are compared term-for-term
-in the test suite; neither is derived from the other.
+in the test suite; neither is derived from the other.  A and B are
+symmetric, so every power of A + tB and each of its t-slices is too: the
+powering builds the entries with i <= j only, and since
+trace(XY) = sum_i X_ii Y_ii + 2 sum_{i<k} X_ik Y_ik for symmetric X, Y
+and trace(H[s]H[r-s]) = trace(H[r-s]H[s]), the trace reads each slice
+pair (s, r-s) once, over the upper triangle.
 """
 
 from __future__ import annotations
@@ -221,21 +226,41 @@ def trace_coeff_matrix(p: TraceProblem, budget: Optional[int] = None) -> Polynom
     H'[s] = H[s]*A + H[s-1]*B up to k = m/2, and returns
     sum_s trace(H[s]*H[r-s]), the t^r part of trace(H*H).  Independent
     of the necklace route.
+
+    A and B are symmetric (a[i,j] and a[j,i] are one variable), so each
+    power of A + tB and each of its t-slices is symmetric.  A step
+    therefore builds only the entries with i <= j, skipping the zero
+    entries of a diagonal A, and mirrors them.  For symmetric X and Y,
+    trace(XY) = sum_i X_ii Y_ii + 2 sum_{i<k} X_ik Y_ik, and
+    trace(H[s]H[r-s]) = trace(H[r-s]H[s]), so the trace reads each pair
+    (s, r-s) once over the upper triangle: weight 2 for s < r/2 and 1 at
+    s = r/2, doubled off the diagonal.
     """
     _check_budget(p.cycle_count(), budget)
     n, r = p.n, p.r
     a_mat = _symbolic_matrix(n, "a", p.diagonal_a)
     b_mat = _symbolic_matrix(n, "b", False)
+    a_nonzero = [[k for k in range(n) if a_mat[k][j]] for j in range(n)]
     zero = [[Polynomial.zero()] * n for _ in range(n)]
     h = ([a_mat, b_mat] + [zero] * r)[:r + 1]
     for _ in range(p.m // 2 - 1):
-        ha = [_mat_mul(hs, a_mat) for hs in h]
-        hb = [_mat_mul(hs, b_mat) for hs in h[:-1]]
-        h = ha[:1] + [[[x + y for x, y in zip(row_a, row_b)]
-                       for row_a, row_b in zip(ha[s], hb[s - 1])]
-                      for s in range(1, r + 1)]
-    return sum_of_products((h[s][i][k], h[r - s][k][i])
-                           for s in range(r + 1) for i in range(n) for k in range(n))
+        step: List[Matrix] = [[[None] * n for _ in range(n)] for _ in h]
+        for s, hs in enumerate(step):
+            for i in range(n):
+                for j in range(i, n):
+                    pairs = [(h[s][i][k], a_mat[k][j]) for k in a_nonzero[j]]
+                    if s:
+                        pairs += [(h[s - 1][i][k], b_mat[k][j]) for k in range(n)]
+                    hs[i][j] = hs[j][i] = sum_of_products(pairs)
+        h = step
+    by_weight: Dict[int, list] = {1: [], 2: [], 4: []}
+    for s in range(r // 2 + 1):
+        x, y, w = h[s], h[r - s], 1 if 2 * s == r else 2
+        for i in range(n):
+            by_weight[w].append((x[i][i], y[i][i]))
+            by_weight[2 * w] += [(x[i][k], y[i][k]) for k in range(i + 1, n)]
+    return sum((sum_of_products(pairs).scale(w)
+                for w, pairs in by_weight.items()), Polynomial.zero())
 
 
 def expand_square_formula(m: int, n: int) -> Polynomial:

@@ -101,7 +101,7 @@ class RationalMatrix:
                               rl, cl)
 
     def entry_sum(self) -> Fraction:
-        return sum((x for row in self.rows for x in row), Fraction(0))
+        return entry_total(self.rows)
 
     def to_jsonable(self):
         obj = {"rows": [[str(x) for x in row] for row in self.rows]}
@@ -140,6 +140,13 @@ def _integer_rows(rows) -> Tuple[List[List[int]], int]:
     den = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row]
             for row in rows], den
+
+
+def entry_total(rows) -> Fraction:
+    """The sum of the int or Fraction entries of ``rows``, added as ints
+    over their common denominator."""
+    ints, den = _integer_rows(rows)
+    return Fraction(sum(map(sum, ints)), den)
 
 
 def charpoly(q: RationalMatrix) -> List[Fraction]:

@@ -266,6 +266,23 @@ def test_row_operations_leave_rref_unchanged(rows, data):
         assert type(rhs) is Fraction
 
 
+def test_canonical_equation_reads_ints_and_fractions_alike():
+    cases = [({3: -4, 1: 0, 7: 6}, 10), ({2: 6, 5: -9}, -12), ({4: -1}, 0),
+             ({1: 12, 2: 18}, 30), ({1: Fraction(1, 2), 2: 3}, Fraction(5, 3))]
+    for coeffs, rhs in cases:
+        got = canonical_equation(coeffs, rhs)
+        assert got == canonical_equation(
+            {k: Fraction(c) for k, c in coeffs.items()}, Fraction(rhs))
+        assert all(type(c) is int for _, c in got[0]) and type(got[1]) is int
+    # negative first coefficient, gcd 2; fractions cleared by their lcm
+    assert canonical_equation({3: -4, 1: 0, 7: 6}, 10) == (((3, 2), (7, -3)), -5)
+    assert canonical_equation({1: 12, 2: 18}, 30) == (((1, 2), (2, 3)), 5)
+    assert canonical_equation({1: Fraction(1, 2), 2: 3}, Fraction(5, 3)) == \
+        (((1, 3), (2, 18)), 10)
+    with pytest.raises(ValueError, match="empty equation"):
+        canonical_equation({1: 0, 2: Fraction(0)}, 3)
+
+
 @pytest.fixture(scope="module")
 def derived5():
     return derive_param_system(5)

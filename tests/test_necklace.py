@@ -9,6 +9,8 @@ from tracesos.necklace import (
     BudgetExceeded,
     Necklace,
     TraceProblem,
+    _mat_mul,
+    _symbolic_matrix,
     enumerate_necklaces,
     expand_square_formula,
     letter_patterns,
@@ -167,6 +169,40 @@ def test_dual_oracle_small():
                           (8, 4, 3, True), (6, 4, 2, True), (8, 4, 6, True)]:
         p = TraceProblem(m, r, n, diagonal_a=diag)
         assert trace_coeff_necklace(p) == trace_coeff_matrix(p), (m, r, n)
+
+
+def full_powering_coeff(p: TraceProblem) -> Polynomial:
+    """Reference t^r coefficient with no use of symmetry: every entry of
+    every t-slice H'[s] = H[s]*A + H[s-1]*B by a full product, then
+    sum_s trace(H[s]*H[r-s]) over all n^2 index pairs of every s."""
+    n, r = p.n, p.r
+    a = _symbolic_matrix(n, "a", p.diagonal_a)
+    b = _symbolic_matrix(n, "b", False)
+    zero = [[Polynomial.zero()] * n for _ in range(n)]
+    h = ([a, b] + [zero] * r)[:r + 1]
+    for _ in range(p.m // 2 - 1):
+        ha = [_mat_mul(hs, a) for hs in h]
+        hb = [_mat_mul(hs, b) for hs in h[:-1]]
+        h = ha[:1] + [[[x + y for x, y in zip(row_a, row_b)]
+                       for row_a, row_b in zip(ha[s], hb[s - 1])]
+                      for s in range(1, r + 1)]
+    total = Polynomial.zero()
+    for s in range(r + 1):
+        for i in range(n):
+            for k in range(n):
+                total = total + h[s][i][k] * h[r - s][k][i]
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m, r, diag", [
+    (2, 0, False), (2, 0, True), (4, 2, False), (4, 2, True), (4, 4, False),
+    (6, 2, False), (6, 4, False), (6, 4, True), (8, 4, True)])
+def test_matrix_oracle_matches_full_powering(m, r, diag, n):
+    # r = 0, r = m, r/2 odd and r/2 even, at general and diagonal A: the
+    # upper-triangle powering and the once-per-pair trace change no term
+    p = TraceProblem(m, r, n, diagonal_a=diag)
+    assert trace_coeff_matrix(p) == full_powering_coeff(p)
 
 
 def test_square_formula_examples():
