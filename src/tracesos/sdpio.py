@@ -339,6 +339,11 @@ def import_sdpa(path: str) -> SdpProblem:
     if len(dims) != n_block or min(dims) < 1:  # SDPA's diagonal blocks are < 0
         raise ValueError(f"SDPA line {body[2]!r}: expected {n_block} block "
                          f"sizes of at least 1")
+    if block_labels and len(block_labels) != n_block:
+        raise ValueError(f"SDPA file has {len(block_labels)} '* block' lines "
+                         f"for {n_block} blocks")
+    if len(set(block_labels)) != len(block_labels):
+        raise ValueError(f"SDPA '* block' labels repeat: {block_labels}")
     parsed: Dict[str, Scalar] = {}  # token -> value, successes only
 
     def number(token: str, line: str) -> Scalar:
@@ -411,6 +416,9 @@ def rationalize_and_verify(prob: SdpProblem,
     accepted only if every constraint holds exactly and every block has
     an exact PSD certificate.
     """
+    if denominator_bound < 1:
+        raise RationalizationFailed(f"denominator bound must be at least 1, "
+                                    f"got {denominator_bound}")
     if not isinstance(approx, Mapping):
         raise RationalizationFailed("solution must map block labels to rows")
     labels = [label for label, _ in prob.blocks]

@@ -223,6 +223,30 @@ def test_run_all_derives_each_system_once(monkeypatch):
     assert calls == {5: 1}
 
 
+def test_entry_sums_do_not_derive_the_system(monkeypatch):
+    # the collapse is checked against the published system, so a failed
+    # derivation is reported once, by param-system
+    def fails(n):
+        raise InconsistentSystem(f"derived system (n={n}): planted")
+
+    monkeypatch.setattr(cert84, "derive_param_system", fails)
+    assert checks.check_entry_sums().ok
+    result = checks.check_param_system()
+    assert not result.ok and result.detail == "derived system (n=5): planted"
+
+
+@pytest.mark.parametrize("dropped", range(11))
+def test_entry_sum_collapse_needs_every_published_equation(monkeypatch,
+                                                           dropped):
+    published = ParamSystem.published().equations
+    weaker = ParamSystem.from_equations(published[:dropped]
+                                        + published[dropped + 1:])
+    monkeypatch.setattr(ParamSystem, "published", classmethod(lambda cls: weaker))
+    result = checks.check_entry_sums()
+    assert not result.ok
+    assert result.detail.startswith("failures: [('symbolic n=5', '25670 + ")
+
+
 def test_renamed_q3_parameter_fails_the_param_check(monkeypatch):
     # x7 at block pair (1, 3) renamed to x8: the derivation still succeeds
     # but its system is no longer the published one

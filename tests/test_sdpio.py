@@ -188,6 +188,40 @@ def test_import_rejects_malformed_header_lines(tmp_path, capsys):
                  "--solution", str(solution)]) == 0
 
 
+def test_import_refuses_block_lines_that_do_not_fit_the_header(tmp_path,
+                                                               capsys):
+    # the labels must name the header's blocks one to one; otherwise a
+    # block is dropped and sdp-verify fails on it with a traceback
+    from tracesos.cli import main
+
+    path = tmp_path / "p.dat-s"
+    export_sdpa(build_sdp(TraceProblem(4, 2, 2), certificate_basis_42(2)),
+                str(path))
+    text = path.read_text()
+    assert "* block Q1 3\n* block Q2 4\n" in text
+    cert = build_certificate42(2)
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({
+        "Q1": [[float(x) for x in row] for row in cert.q1.rows],
+        "Q2": [[float(x) for x in row] for row in cert.q2.rows]}))
+    tampered = tmp_path / "bad.dat-s"
+    for block_lines, says in (
+            ("* block Q1 3\n", "SDPA file has 1 '* block' lines for 2 blocks"),
+            ("* block Q1 3\n* block Q2 4\n* block Q3 1\n",
+             "SDPA file has 3 '* block' lines for 2 blocks"),
+            ("* block Q1 3\n* block Q1 4\n",
+             "SDPA '* block' labels repeat: ['Q1', 'Q1']")):
+        tampered.write_text(text.replace("* block Q1 3\n* block Q2 4\n",
+                                         block_lines))
+        with pytest.raises(ValueError, match=re.escape(says)):
+            import_sdpa(str(tampered))
+        assert main(["sdp-verify", "--prob", str(tampered),
+                     "--solution", str(solution)]) == 2, says
+        assert capsys.readouterr().err == f"error: {says}\n"
+    assert main(["sdp-verify", "--prob", str(path),
+                 "--solution", str(solution)]) == 0
+
+
 _TOKEN = st.one_of(st.integers(-2, 12).map(str), st.text(max_size=4),
                    st.sampled_from(["*", "block", "con", "meta", "m=4", "x",
                                     "1/2", "1/0", "nan", "1e3"]))
@@ -297,6 +331,12 @@ def test_rationalization_failures():
         rationalize_and_verify(prob, {"G": [[1, 2]]}, 10)
     with pytest.raises(RationalizationFailed, match=r"block G entry \(0,0\)"):
         rationalize_and_verify(prob, {"G": [[None]]}, 10)
+    # a bound below 1 is refused before any entry is read, whole or float
+    for entry in (1, 1.0):
+        assert rationalize_and_verify(prob, {"G": [[entry]]}, 1).accepted
+        with pytest.raises(RationalizationFailed, match=re.escape(
+                "denominator bound must be at least 1, got 0")):
+            rationalize_and_verify(prob, {"G": [[entry]]}, 0)
 
 
 def test_rationalization_rounds_to_nearby_rationals():
