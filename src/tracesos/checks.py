@@ -99,10 +99,10 @@ def _unequal(cases, names: tuple) -> tuple:
 
 
 def check_dual_oracle() -> CheckResult:
-    """Necklace and matrix oracles agree term-for-term for n = 1..5.  n = 5
-    is the one size above ``arc_count``, so the only one where the
-    necklace oracle lifts (``necklace._lift``) and the matrix oracle
-    checks that lift."""
+    """Necklace and matrix oracles agree term-for-term for n = 1..5.  From
+    n = 2 the necklace oracle permutes its growth-string terms and lifts
+    them to label subsets; n = 5 is the one size above ``arc_count``,
+    where its growth strings stop at the arc count rather than at n."""
     bad, witness = _unequal(
         (((label, n), f"{label} n={n}", necklace.trace_coeff_necklace(p),
           necklace.trace_coeff_matrix(p)) for n in range(1, 6)

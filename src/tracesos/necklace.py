@@ -10,15 +10,22 @@ weighted by its size.  With a diagonal A only cycles whose arcs (edges
 from one b-vertex to the next) carry one label each are visited.
 
 Every edge label shows up in the variables of its two end vertices, so a
-cycle's label set is the label set of its monomial.  An increasing map
-from {1..j} onto a j-subset S of [n] therefore matches the cycles labelled
-by exactly {1..j} with those labelled by exactly S, monomial for
-monomial, and the coefficient of a monomial on S does not depend on
-n >= |S|.  A cycle uses at most as many labels as it has arcs (r, at
-least 1, for a diagonal A, else m), so for n above the arc count the
-cycles are enumerated once at n0 = arcs and each term on {1..j} is lifted
-to every j-subset of [n].  The map keeps i <= j and the variable order,
-so a lifted monomial needs no sort.
+cycle's label set is the label set of its monomial.  A cycle uses at most
+as many labels as it has arcs (r, at least 1, for a diagonal A, else m),
+so only n0 = min(n, arcs) labels are ever told apart.  Take the arcs in a
+fixed order.  Every labelling E of the arcs by [n] factors uniquely as
+E = sigma o R: R is a restricted growth string (labels numbered 1..k in
+order of first appearance, k the number of distinct labels) and
+sigma: {1..k} -> [n] is injective.  A vertex's variable is read at its
+two edge labels, so mono(sigma o R) = sigma(mono(R)).  sigma in turn
+factors uniquely as a permutation of {1..k} followed by the increasing
+map onto its image.  So the oracle visits each growth string with at
+most n0 values once per rotation class and counts its monomial by k;
+applies every permutation of {1..k} to each distinct counted monomial,
+which gives the terms labelled by exactly {1..k}; and emits those once
+per k-subset of [n] through the increasing map, which keeps i <= j and
+the variable order, so a lifted monomial needs no sort.  The coefficient
+of a monomial on S therefore does not depend on n >= |S|.
 
 Two independent constructions of the same polynomial are provided: direct
 enumeration of the cycles, and symbolic powering of the n-by-n matrix
@@ -36,7 +43,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from operator import itemgetter
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -122,13 +129,22 @@ def rotation_classes(m: int, r: int) -> List[Tuple[Tuple[str, ...], int]]:
                         for pat in letter_patterns(m, r)).items())
 
 
+def rotation_class_count(m: int, r: int) -> int:
+    """``len(rotation_classes(m, r))`` without listing a pattern.  By
+    Burnside it is (1/m) * sum over d | gcd(m, r) of phi(d) * C(m/d, r/d):
+    phi(d) rotations have order d, and each fixes the patterns made of d
+    copies of their first m/d letters."""
+    g = gcd(m, r)
+    return sum(sum(gcd(x, d) == 1 for x in range(d)) * comb(m // d, r // d)
+               for d in range(1, g + 1) if g % d == 0) // m
+
+
 def planned_visits(p: TraceProblem, skip_zero: bool = False) -> int:
     """Cycles the necklace oracle sums over: n^m per rotation class, or
     with ``skip_zero`` and a diagonal A, one label per arc.  An upper bound
-    on the cycles it visits, which are fewer when n exceeds the arc count
-    (see the module docstring)."""
+    on the work, which visits fewer (see the module docstring)."""
     arcs = p.arc_count if skip_zero else p.m
-    return len(rotation_classes(p.m, p.r)) * p.n ** arcs
+    return rotation_class_count(p.m, p.r) * p.n ** arcs
 
 
 def _check_budget(planned: int, budget: Optional[int]) -> None:
@@ -150,58 +166,72 @@ def enumerate_necklaces(p: TraceProblem,
             yield Necklace(pat, edges_of(values))
 
 
+def _growth_strings(length: int, most: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """Restricted growth strings of ``length`` with at most ``most`` values,
+    each with its number of values k: every entry is at most one above the
+    largest before it, so values 0..k-1 appear in order."""
+    strings = [((0,), 1)]
+    for _ in range(length - 1):
+        strings = [(s + (v,), max(k, v + 1)) for s, k in strings
+                   for v in range(min(k + 1, most))]
+    return strings
+
+
 def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polynomial:
-    """Coefficient polynomial by necklace enumeration: per rotation class,
-    count each visit's monomial, the sorted tuple of its shared variables,
-    by the class size.  Above the arc count, enumerate at n0 = arcs and
-    lift (see the module docstring)."""
+    """Coefficient polynomial by necklace enumeration, in the three steps
+    of the module docstring.  Count: per rotation class, each growth string
+    with at most n0 = min(n, arcs) values adds the class size to its
+    monomial, keyed by its number of values k.  Permute: every permutation
+    of {1..k} applied to each counted monomial gives the terms labelled by
+    exactly {1..k}.  Lift: each such term is emitted once per k-subset of
+    [n].  Up to the lift, a monomial on {1..k} is the sorted tuple of its
+    variables' positions in a k-block :func:`_flat` list; it has m >= 2
+    of them, so an itemgetter over it returns a tuple."""
     _check_budget(planned_visits(p, skip_zero=True), budget)
+    n0 = min(p.n, p.arc_count)
+    strings = _growth_strings(p.arc_count, n0)
+    blocks = [_positions(k) for k in range(n0 + 1)]
+    counts: List[Counter] = [Counter() for _ in blocks]
+    for rep, weight in rotation_classes(p.m, p.r):
+        arcs = _edge_arcs(rep) if p.diagonal_a else range(p.m)
+        ends = [[(block[s], arcs[t - 1], arcs[t]) for t, s in enumerate(rep)]
+                for block in blocks]
+        for values, k in strings:
+            counts[k][tuple(sorted([row[values[i]][values[j]]
+                                    for row, i, j in ends[k]]))] += weight
     labels = range(p.n)
     table = {s: [[var(s, i + 1, j + 1) for j in labels] for i in labels]
              for s in "ab"}
-    n0 = min(p.n, p.arc_count)
-    counts = _class_counts(p, table, n0)
-    # fresh positive counts need no copy or zero filter (a plain dict:
-    # a Counter reads 0 at a missing key)
-    return Polynomial._adopt(dict(counts) if n0 == p.n
-                             else _lift(counts, table, p.n))
-
-
-def _class_counts(p: TraceProblem, table, n0: int) -> Counter:
-    """Monomial counts of the cycles labelled in [n0], one letter pattern
-    per rotation class weighted by its size; variables come from ``table``."""
-    labels = range(n0)
-    counts: Counter = Counter()
-    for rep, weight in rotation_classes(p.m, p.r):
-        arcs = _edge_arcs(rep) if p.diagonal_a else range(p.m)
-        ends = [(table[s], arcs[t - 1], arcs[t]) for t, s in enumerate(rep)]
-        for values in itertools.product(labels, repeat=max(arcs) + 1):
-            counts[tuple(sorted([row[values[i]][values[j]]
-                                 for row, i, j in ends]))] += weight
-    return counts
-
-
-def _lift(counts: Counter, table, n: int) -> Dict[Monomial, int]:
-    """Terms at size n from the counts at n0 < n: each term whose labels are
-    exactly {1..j} is relabelled through the increasing map onto every
-    j-subset of [n].  A term is an itemgetter over the subset's flat
-    variable list, [a-rows, then b-rows] of the subset's j-by-j block; it
-    picks m >= 2 variables, so it returns the monomial as a tuple."""
-    kept: Dict[int, list] = {}
-    for mono, weight in counts.items():
-        used = {x for _, i, j in mono for x in (i, j)}
-        size = len(used)
-        if max(used) == size:
-            kept.setdefault(size, []).append((itemgetter(*[
-                (s == "b") * size * size + (i - 1) * size + j - 1
-                for s, i, j in mono]), weight))
     out: Dict[Monomial, int] = {}
-    for size, terms in kept.items():
-        for sub in itertools.combinations(range(n), size):
-            flat = [table[s][i][j] for s in "ab" for i in sub for j in sub]
+    for k, by_mono in enumerate(counts):
+        exact: Counter = Counter()
+        permuted = [_flat(blocks[k], perm)
+                    for perm in itertools.permutations(range(k))]
+        for mono, weight in by_mono.items():
+            getter = itemgetter(*mono)
+            for positions in permuted:
+                exact[tuple(sorted(getter(positions)))] += weight
+        terms = [(itemgetter(*mono), weight) for mono, weight in exact.items()]
+        for sub in itertools.combinations(labels, k):
+            flat = _flat(table, sub)
             for getter, weight in terms:
                 out[getter(flat)] = weight
-    return out
+    # fresh positive counts need no copy or zero filter
+    return Polynomial._adopt(out)
+
+
+def _positions(k: int) -> Dict[str, List[List[int]]]:
+    """The position of variable (s, i, j) in a k-block :func:`_flat` list,
+    indexed [s][i][j] by 0-based labels: a-rows, then b-rows, with i <= j,
+    so positions sort as their variables do."""
+    return {s: [[(s == "b") * k * k + min(i, j) * k + max(i, j)
+                 for j in range(k)] for i in range(k)] for s in "ab"}
+
+
+def _flat(table, labels: Sequence[int]) -> list:
+    """The entries of ``table`` on ``labels`` (0-based), a-rows, then
+    b-rows, row by row."""
+    return [table[s][i][j] for s in "ab" for i in labels for j in labels]
 
 
 Matrix = List[List[Polynomial]]

@@ -1,5 +1,5 @@
 from collections import Counter
-from math import comb
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +9,14 @@ from tracesos.necklace import (
     BudgetExceeded,
     Necklace,
     TraceProblem,
+    _growth_strings,
     _mat_mul,
     _symbolic_matrix,
     enumerate_necklaces,
     expand_square_formula,
     letter_patterns,
     planned_visits,
+    rotation_class_count,
     rotation_classes,
     trace_coeff_matrix,
     trace_coeff_necklace,
@@ -113,19 +115,65 @@ def test_rotation_classes():
     assert planned_visits(TraceProblem(8, 4, 2)) == 10 * 2**8
 
 
+def test_rotation_class_count_is_the_listed_count():
+    for m in range(1, 15):
+        for r in range(m + 1):
+            assert rotation_class_count(m, r) == len(rotation_classes(m, r))
+
+
+def test_budget_refuses_before_listing_a_pattern(monkeypatch):
+    def refuse(m, r):
+        raise AssertionError("letter patterns listed")
+
+    monkeypatch.setattr("tracesos.necklace.letter_patterns", refuse)
+    p = TraceProblem(24, 12, 2)
+    assert planned_visits(p) == 1891127787520
+    with pytest.raises(BudgetExceeded, match="needs 1891127787520 visits"):
+        trace_coeff_necklace(p, budget=10**8)
+
+
+def stirling2(size: int, k: int) -> int:
+    """Set partitions of ``size`` items into k blocks."""
+    if not size or not k:
+        return int(size == k)
+    return k * stirling2(size - 1, k) + stirling2(size - 1, k - 1)
+
+
+def test_growth_strings():
+    for size, most, count in [(4, 4, 15), (8, 8, 4140), (8, 3, 1094)]:
+        strings = _growth_strings(size, most)
+        assert len(strings) == count == sum(stirling2(size, k)
+                                            for k in range(most + 1))
+        assert len({s for s, _ in strings}) == count
+        for s, k in strings:
+            assert k == len(set(s)) <= most
+            assert [v for t, v in enumerate(s) if v not in s[:t]] == \
+                list(range(k))
+    # each labelling by [n] is one growth string R and one injective
+    # relabelling of its k values, so the strings cover n^L exactly
+    for size in range(1, 7):
+        for n in range(1, 6):
+            assert sum(perm(n, k) for _, k in
+                       _growth_strings(size, min(n, size))) == n**size
+
+
 def test_oracle_matches_its_definition():
     # the rotation-class sum equals the plain sum over every cycle; the
-    # listed cases have n above the arc count, so the oracle lifts them
+    # cut cases have n below the arc count, so the growth strings stop at
+    # n values, and the lifted ones have n above it, so they stop at the
+    # arc count and every term is lifted to a larger label set
     grid = [TraceProblem(m, r, n, diagonal_a=diag)
             for m in (2, 4, 6, 8) for r in sorted({0, 2, m - 2, m})
             for n in (1, 2, 3) for diag in (False, True)]
+    cut = [TraceProblem(6, 2, 4), TraceProblem(6, 4, 4)]
     lifted = [TraceProblem(4, 2, 5), TraceProblem(4, 4, 5),
               TraceProblem(2, 0, 3), TraceProblem(4, 0, 3, diagonal_a=True),
               TraceProblem(6, 2, 4, diagonal_a=True),
               TraceProblem(8, 4, 5, diagonal_a=True),
               TraceProblem(8, 4, 6, diagonal_a=True)]
+    assert all(1 < p.n < p.arc_count for p in cut)
     assert all(p.n > p.arc_count for p in lifted)
-    for p in grid + lifted:
+    for p in grid + cut + lifted:
         want = Polynomial(Counter(map(necklace_monomial,
                                       enumerate_necklaces(p))))
         assert trace_coeff_necklace(p) == want, p
@@ -133,7 +181,7 @@ def test_oracle_matches_its_definition():
 
 def test_cycle_labels_are_its_monomial_labels():
     # every edge label sits on its two end vertices' variables, which is
-    # what lets the oracle lift the terms on {1..j} to any j-subset of [n]
+    # what lets the oracle relabel the terms on {1..k} by any injective map
     for p in [TraceProblem(4, 2, 3), TraceProblem(6, 4, 3),
               TraceProblem(2, 0, 3), TraceProblem(8, 4, 4, diagonal_a=True),
               TraceProblem(6, 2, 3, diagonal_a=True),
