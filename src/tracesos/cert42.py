@@ -247,6 +247,6 @@ def accounting_audit(n: int, budget: Optional[int] = None) -> AuditReport:
         got = counts.get(cell, 0)
         if want is None or want != got:
             mismatches.append((cell, want if want is not None else -1, got))
-    return AuditReport(n=n, total_expected=problem.necklace_count(),
+    return AuditReport(n=n, total_expected=problem.cycle_count(),
                        total_assigned=total, counts=counts,
                        mismatches=mismatches)

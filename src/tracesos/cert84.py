@@ -46,18 +46,18 @@ blocks and sides of its two labels and whether they share k, so Q3(n)
 commutes with every permutation of the indices k outside {i, j}.  Its
 positions are six fixed ones, those with k in {i, j}
 (:data:`Q3_FIXED`), and the six k-classes (:data:`Q3_CLASSES`) at each
-of the n - 2 other k.  Four 6x6 grids give every entry
-(:func:`q3_blocks`): F fixed x fixed, G fixed x class, A class x class
-at one k, B at two different k.  With m = n - 2 the class part is
-I(x)(A - B) + J(x)B, so on the class vectors that sum to zero over k,
-Q3(n) is m - 1 copies of S = A - B, and on the rest it is congruent to
-M(1/m) = [[F, G], [G^T, B + S/m]] through (w_F, w_C) -> w_F on the
-fixed positions and w_C/m on every class position.  Hence for n >= 4,
-Q3(n) is PSD iff S and M(1/(n-2)) are, with nullity nullity(M) +
-(n - 3)*nullity(S); Q3(3) is M(1) and Q3(2) is F (Gatermann & Parrilo,
-"Symmetry groups, semidefinite programs, and sums of squares", JPAA
-2004).  :func:`decide_q3` decides Q3(n) on these blocks and lifts a
-witness of either one to Q3(n).
+of the n - 2 other k, both read off :func:`z3_labels` in its order.
+Four 6x6 grids give every entry (:func:`q3_blocks`): F fixed x fixed,
+G fixed x class, A class x class at one k, B at two different k.  With
+m = n - 2 the class part is I(x)(A - B) + J(x)B, so on the class
+vectors that sum to zero over k, Q3(n) is m - 1 copies of S = A - B,
+and on the rest it is congruent to M(1/m) = [[F, G], [G^T, B + S/m]]
+through (w_F, w_C) -> w_F on the fixed positions and w_C/m on every
+class position.  Hence for n >= 4, Q3(n) is PSD iff S and M(1/(n-2))
+are, with nullity nullity(M) + (n - 3)*nullity(S); Q3(3) is M(1) and
+Q3(2) is F (Gatermann & Parrilo, "Symmetry groups, semidefinite
+programs, and sums of squares", JPAA 2004).  :func:`decide_q3` decides
+Q3(n) on these blocks and lifts a witness of either one to Q3(n).
 """
 
 from __future__ import annotations
@@ -239,10 +239,9 @@ def q3_grid(n: int, params=None) -> Grid:
 
 
 # The labels of the pair (1, 2) whose k is i or j, and the six k-classes
-# (block, side) that every other k carries once.
-Q3_FIXED = ((1, "i", 1), (1, "j", 2), (2, "i", 1), (2, "j", 2),
-            (5, "i", 2), (7, "j", 1))
-Q3_CLASSES = ((3, None), (4, "i"), (4, "j"), (5, "i"), (6, None), (7, "j"))
+# (block, side) that every other k carries once, in z3_labels order.
+Q3_FIXED = tuple(lab for lab in z3_labels(4, 1, 2) if lab[2] in (1, 2))
+Q3_CLASSES = tuple(lab[:2] for lab in z3_labels(4, 1, 2) if lab[2] == 3)
 
 
 def q3_blocks(params=None) -> Tuple[Grid, Grid, Grid, Grid]:
@@ -292,8 +291,8 @@ def decide_q3(n: int, params=None) -> Q3Verdict:
     cert = verify_ldlt(RationalMatrix(m))
     if not cert.psd:  # w_F on the fixed positions, w_C/(n-2) on every class
         w = [Fraction(x) for x in cert.witness["vector"]]
-        v = [w[fixed[lab]] if lab in fixed else t * w[6 + cls[lab[:2]]]
-             for lab in labels]
+        v = [w[fixed[lab]] if lab in fixed
+             else t * w[len(Q3_FIXED) + cls[lab[:2]]] for lab in labels]
         return Q3Verdict(False, vector=tuple(v),
                          value=Fraction(cert.witness["value"]),
                          block=f"M({t})" if n > 2 else "F")

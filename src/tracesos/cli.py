@@ -19,10 +19,6 @@ from .necklace import BudgetExceeded, TraceProblem
 from .poly import mono_str, read_number
 
 
-class UnknownObject(ValueError):
-    """reproduce was asked for an identifier it does not know."""
-
-
 def _write_out(path, payload: dict) -> None:
     text = json.dumps(payload, indent=1, sort_keys=True)
     if path:
@@ -197,7 +193,7 @@ def cmd_reproduce(args) -> int:
     names = list(table) if args.object == "all" else [args.object]
     unknown = [n for n in names if n not in table]
     if unknown:
-        raise UnknownObject(
+        raise ValueError(
             f"unknown object {unknown[0]!r}; known: {', '.join(table)}")
     results = []
     for name in names:

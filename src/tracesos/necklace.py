@@ -36,6 +36,10 @@ powering builds the entries with i <= j only, and since
 trace(XY) = sum_i X_ii Y_ii + 2 sum_{i<k} X_ik Y_ik for symmetric X, Y
 and trace(H[s]H[r-s]) = trace(H[r-s]H[s]), the trace reads each slice
 pair (s, r-s) once, over the upper triangle.
+
+At r = 0 the coefficient is trace(A^m) = sum_{i,j} ((A^{m/2})_ij)^2, and
+(A^{m/2})_ij is the sum over the a-walks of length m/2 from i to j:
+:func:`expand_square_formula` squares the entries of that power.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from operator import itemgetter
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .poly import Monomial, Polynomial, mono_from_vars, sum_of_products, var
+from .poly import Monomial, Polynomial, sum_of_products, var
 
 DEFAULT_BUDGET = 10**8
 
@@ -78,9 +82,6 @@ class TraceProblem:
             raise ValueError(f"r must be even with 0 <= r <= m, got {self.r}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-
-    def necklace_count(self) -> int:
-        return comb(self.m, self.r) * self.n**self.m
 
     @property
     def arc_count(self) -> int:
@@ -297,21 +298,16 @@ def expand_square_formula(m: int, n: int) -> Polynomial:
     """The explicit square expansion of the r = 0 coefficient.
 
     sum_{i,j} (sum over all a-walks of length m/2 from i to j)^2, fully
-    expanded.  Must equal the r = 0 coefficient polynomial.
+    expanded.  That walk sum is the (i, j) entry of A^{m/2}, formed by
+    :func:`_mat_mul`.  Must equal the r = 0 coefficient polynomial.
     """
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"m must be a positive even integer, got {m}")
-    half = m // 2
-    walk_sums = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            walks = Counter()
-            for mids in itertools.product(range(1, n + 1), repeat=half - 1):
-                seq = (i, *mids, j)
-                walks[mono_from_vars(var("a", seq[t], seq[t + 1])
-                                     for t in range(half))] += 1
-            walk_sums.append(Polynomial(walks))
-    return sum_of_products((w, w) for w in walk_sums)
+    a_mat = _symbolic_matrix(n, "a", False)
+    power = a_mat
+    for _ in range(m // 2 - 1):
+        power = _mat_mul(power, a_mat)
+    return sum_of_products((w, w) for row in power for w in row)
 
 
 def word_trace(word: Iterable[str], n: int) -> Polynomial:

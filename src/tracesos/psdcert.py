@@ -60,6 +60,9 @@ class RationalMatrix:
         self.row_labels = tuple(row_labels) if row_labels else None
         self.col_labels = (tuple(col_labels) if col_labels
                            else self.row_labels if self._square() else None)
+        if any(labels and len(labels) != size for labels, size
+               in zip((self.row_labels, self.col_labels), self.shape)):
+            raise ValueError("matrix labels do not match its shape")
 
     def _square(self) -> bool:
         return not self.rows or len(self.rows) == len(self.rows[0])

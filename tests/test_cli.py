@@ -263,6 +263,18 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
     assert code == 0 and out == "PSD via ldlt, nullity 1\n"
 
 
+def test_psd_refuses_labels_that_do_not_match(tmp_path, capsys):
+    rows = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    for labels in ({"row_labels": [1]}, {"row_labels": [1, 2, 3, 4]},
+                   {"row_labels": [1, 2, 3], "col_labels": [1, 2]}):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": rows, **labels}))
+        code, _, err = run(capsys, "psd", "--in", str(path),
+                           "--method", "schur", "--split", "2")
+        assert code == 2, labels
+        assert err == "error: matrix labels do not match its shape\n", err
+
+
 def test_coeff_budget(capsys):
     code, _, err = run(capsys, "coeff", "--m", "8", "--r", "4", "--n", "2",
                        "--budget", "100")

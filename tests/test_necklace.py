@@ -47,7 +47,7 @@ def test_problem_validation():
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_necklaces(TraceProblem(4, 2, 3))) == 486
     assert sum(1 for _ in enumerate_necklaces(TraceProblem(4, 0, 1))) == 1
-    assert TraceProblem(8, 4, 2).necklace_count() == 17920
+    assert TraceProblem(8, 4, 2).cycle_count() == 17920
     assert sum(1 for _ in enumerate_necklaces(TraceProblem(8, 4, 2))) == 17920
 
 
@@ -100,7 +100,7 @@ def test_diagonal_count_conservation():
                        for t, s in enumerate(k.letters) if s == "a")}
         p = TraceProblem(m, r, n, diagonal_a=True)
         diag = list(enumerate_necklaces(p))
-        assert len(full) == p.necklace_count()
+        assert len(full) == TraceProblem(m, r, n).cycle_count()
         assert len(diag) == len(set(diag)) == comb(m, r) * n ** max(r, 1)
         assert set(diag) == live, (m, r, n)
 
@@ -256,10 +256,10 @@ def test_matrix_oracle_matches_full_powering(m, r, diag, n):
 def test_square_formula_examples():
     assert expand_square_formula(2, 1) == Polynomial.monomial(
         mono_from_vars([var("a", 1, 1)] * 2))
-    assert expand_square_formula(4, 2) == \
-        trace_coeff_necklace(TraceProblem(4, 0, 2))
-    assert expand_square_formula(6, 2) == \
-        trace_coeff_matrix(TraceProblem(6, 0, 2))
+    for m in (2, 4, 6, 8):
+        for n in (1, 2, 3):
+            assert expand_square_formula(m, n) == \
+                trace_coeff_necklace(TraceProblem(m, 0, n)), (m, n)
 
 
 def test_ab_swap_symmetry():
@@ -301,4 +301,4 @@ def test_coefficient_mass():
     # without collection, every necklace contributes one unit
     p = TraceProblem(4, 2, 2)
     total = sum(c for c in trace_coeff_necklace(p).terms.values())
-    assert total == p.necklace_count()
+    assert total == p.cycle_count()
