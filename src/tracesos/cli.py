@@ -183,6 +183,10 @@ def cmd_sdp_verify(args) -> int:
         print("accepted: constraints hold exactly and every block is PSD")
         return 0
     print(f"rejected: {report.reason}")
+    for label, cert in report.psd_certs.items():
+        if "violating_e" in cert.witness:
+            print(f"  block {label}: e_{cert.witness['violating_k']} = "
+                  f"{cert.witness['violating_e']} < 0")
     for name, got, want in report.violations[:10]:
         print(f"  {name}: got {got}, want {want}")
     return 1

@@ -13,12 +13,13 @@ certified matrix is PSD with it, so restrictions need no route.
 The Gram and Kronecker routes check their identity entry by entry,
 comparing each entry of the target with the formula on the factors
 without building the product; Gram does so on Python ints after
-clearing U's denominators once.  The O(d^4) Berkowitz characteristic
-polynomial and its sign test (PSD iff every e_k, the sum of the k-by-k
-principal minors, is >= 0) are kept for the published polynomial of Q3,
-the SDP round-then-verify path and as an opt-in method.  Berkowitz
-clears denominators once in the same way and runs on Python ints; only
-the d + 1 output coefficients are Fractions.
+clearing U's denominators once.  The characteristic polynomial
+(Berkowitz per connected component, O(sum d_i^4)) and its sign test
+(PSD iff every e_k, the sum of the k-by-k principal minors, is >= 0)
+are kept for the published polynomial of Q3, the SDP round-then-verify
+path and as an opt-in method.  Berkowitz clears denominators once in the
+same way and runs on Python ints; only the d + 1 output coefficients are
+Fractions.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .poly import read_number
@@ -152,31 +154,64 @@ def entry_total(rows) -> Fraction:
     return Fraction(sum(map(sum, ints)), den)
 
 
+def _components(rows) -> List[List[int]]:
+    """The index sets, each sorted, of the connected components of the
+    nonzero pattern: i and j are joined when rows[i][j] or rows[j][i] != 0."""
+    left, out = set(range(len(rows))), []
+    while left:
+        comp = [min(left)]
+        left.remove(comp[0])
+        for i in comp:  # comp grows while it is read: a breadth-first search
+            new = [j for j in left if rows[i][j] or rows[j][i]]
+            left.difference_update(new)
+            comp += new
+        out.append(sorted(comp))
+    return out
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The coefficients of the product of two polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _berkowitz(rows) -> List[int]:
+    """det(xI - M) of an int matrix, highest power first, by the
+    division-free Berkowitz recursion on its leading principal submatrices."""
+    cols = list(zip(*rows))
+    p = [1]
+    for k in range(1, len(rows) + 1):
+        # Toeplitz column: 1, -a, -R C, -R B C, -R B^2 C, ...
+        t = [1, -rows[k - 1][k - 1]]
+        vec, col = rows[k - 1][: k - 1], cols[k - 1][: k - 1]
+        b_cols = [c[: k - 1] for c in cols[: k - 1]]
+        for j in range(k - 1):
+            if j:
+                vec = [sum(map(mul, vec, c)) for c in b_cols]  # vec * B
+            t.append(-sum(map(mul, vec, col)))
+        p = _convolve(t, p)[: k + 1]
+    return p
+
+
 def charpoly(q: RationalMatrix) -> List[Fraction]:
     """Coefficients of det(xI - Q), highest power first.
 
     Clears denominators once (M = L*Q, L the lcm of the entry
-    denominators), runs the division-free Berkowitz recursion on the
-    leading principal submatrices of M in Python ints, and returns
-    c_k / L^k for each coefficient c_k of det(xI - M).
+    denominators), runs Berkowitz in Python ints on each connected
+    component of M's nonzero pattern, and returns c_k / L^k for each
+    coefficient c_k of det(xI - M).  Lemma: listing the indices
+    component by component is a permutation P with P M P^T
+    block-diagonal, since no nonzero entry joins two components, and a
+    similarity keeps the characteristic polynomial, so det(xI - M) is
+    the product of the blocks' polynomials: O(sum d_i^4), not O(d^4).
     """
-    d = q.size
     rows, den = _integer_rows(q.rows)
     p = [1]
-    for k in range(1, d + 1):
-        col = [rows[i][k - 1] for i in range(k - 1)]
-        # Toeplitz column: 1, -a, -R C, -R B C, -R B^2 C, ...
-        t = [1, -rows[k - 1][k - 1]]
-        vec = rows[k - 1][: k - 1]
-        for _ in range(k - 1):
-            t.append(-sum(v * c for v, c in zip(vec, col)))
-            acc = [0] * (k - 1)  # vec * B, adding whole rows of B
-            for v, row in zip(vec, rows):
-                if v:
-                    acc = [s + v * y for s, y in zip(acc, row)]
-            vec = acc
-        p = [sum(t[i - j] * p[j] for j in range(max(0, i - k), min(i, k - 1) + 1))
-             for i in range(k + 1)]
+    for comp in _components(rows):
+        p = _convolve(p, _berkowitz([[rows[i][j] for j in comp] for i in comp]))
     return [Fraction(c, den ** i) for i, c in enumerate(p)]
 
 

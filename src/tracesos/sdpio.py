@@ -21,13 +21,13 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cert42 import build_certificate42
 from .cert84 import (SYMBOLIC, Entry, Grid, InconsistentSystem, ParamSystem,
                      build_certificate84, canonical_equation)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import (Monomial, Scalar, Var, _whole, mono_from_vars, mono_key,
+from .poly import (Monomial, Scalar, Var, _whole, mono_from_vars,
                    mono_mul, mono_str, read_number, runs_str, var)
 from .psdcert import (PsdCertificate, RationalMatrix, _integer_rows,
                       verify_charpoly_signs)
@@ -195,8 +195,7 @@ def certificate_basis_84(n: int) -> BasisSpec:
     return BasisSpec(tuple(blocks))
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One affine equation over Gram entries (block, row, col), row <= col."""
 
     name: str
@@ -216,6 +215,22 @@ class SdpProblem:
 
     def match_constraints(self) -> List[Constraint]:
         return [c for c in self.constraints if c.name.startswith("match:")]
+
+
+_REPEAT = ("c",)  # sorts above every variable ("a", i, j) and ("b", i, j)
+
+
+def _order_key(mono: Monomial) -> Tuple:
+    """A flat key with the order of :func:`mono_key`: the monomial with
+    each variable that repeats the one before it replaced by _REPEAT.
+
+    Lemma: a run (v, e) of mono_key becomes v and e - 1 markers, so the
+    keys compare as the run lists do.  Two runs with different variables
+    differ at their first item in both.  With the same v and e < e', the
+    shorter run is followed by the next variable or by the end of the
+    key, both below the marker that the longer run still has there.
+    """
+    return tuple([_REPEAT if x == y else y for x, y in zip((None,) + mono, mono)])
 
 
 def build_sdp(p: TraceProblem, basis: BasisSpec,
@@ -239,11 +254,9 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
                 row[key] = row.get(key, 0) + (1 if u == v else 2)
     constraints = []
     texts: Dict[Tuple[Var, int], str] = {}  # runs_str of each run, once
-    for runs, mono in sorted(zip(map(mono_key, rows), rows)):
-        for run in runs:
-            if run not in texts:
-                texts[run] = runs_str((run,))
-        name = "*".join([texts[run] for run in runs]) or "1"
+    for mono in sorted(rows, key=_order_key):
+        name = "*".join([texts.get(run) or texts.setdefault(run, runs_str((run,)))
+                         for run in Counter(mono).items()]) or "1"
         lhs = tuple(sorted(rows[mono].items()))
         rhs = target.terms.get(mono, 0)
         constraints.append(Constraint(f"match:{name}", lhs, rhs))
@@ -406,13 +419,38 @@ class SolutionReport:
     reason: str = ""
 
 
+def _nearest(f: Fraction, bound: int) -> Fraction:
+    """``f.limit_denominator(bound)``, worked on ints: the closest rational
+    with denominator at most ``bound``, the convergent on a tie.
+
+    Lemma: the closest such rational is either the last continued-
+    fraction convergent p1/q1 with q1 <= bound or the semiconvergent
+    (p0 + k p1)/(q0 + k q1) with the largest k that keeps its denominator
+    within the bound, and the two lie on opposite sides of f.  They are
+    1/(q1 (q0 + k q1)) apart, and p1/q1 is d/(q1 D) from f, with d the
+    remainder where the expansion stops and D f's denominator, so p1/q1
+    is at least as close exactly when 2 d (q0 + k q1) <= D.
+    """
+    if f.denominator <= bound:
+        return f
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = f.numerator, f.denominator
+    while q0 + (a := n // d) * q1 <= bound:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    if 2 * d * (q0 + k * q1) <= f.denominator:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def rationalize_and_verify(prob: SdpProblem,
                            approx: Mapping[str, Sequence[Sequence]],
                            denominator_bound: int = 10**4) -> SolutionReport:
     """Round approximate block matrices to rationals and verify exactly.
 
-    Each entry is rounded to the nearest rational with denominator at
-    most the bound (continued-fraction convergents); the rounded point is
+    Each float entry is rounded by :func:`_nearest` to the nearest
+    rational with denominator at most the bound; the rounded point is
     accepted only if every constraint holds exactly and every block has
     an exact PSD certificate.
     """
@@ -441,7 +479,7 @@ def rationalize_and_verify(prob: SdpProblem,
                 f = read_number(x, f"block {label} entry ({i},{j})")
             except ValueError as exc:
                 raise RationalizationFailed(str(exc)) from None
-            rows[i][j] = rows[j][i] = (f.limit_denominator(denominator_bound)
+            rows[i][j] = rows[j][i] = (_nearest(f, denominator_bound)
                                        if isinstance(x, float) else f)
         blocks.append(RationalMatrix(rows))
     report = SolutionReport(accepted=False,

@@ -420,6 +420,32 @@ def test_sdp_export_verify_cycle(tmp_path, capsys):
                                          f"at least 1, got {bound}\n"), err
 
 
+def test_sdp_verify_names_the_first_negative_e_k(tmp_path, capsys):
+    from tracesos.cert84 import build_certificate84
+    from tracesos.psdcert import verify_charpoly_signs
+
+    prob_path = tmp_path / "prob.dat-s"
+    code, _, _ = run(capsys, "sdp-export", "--m", "8", "--r", "4", "--n", "6",
+                     "--diagonal-a", "--basis", "certificate",
+                     "--out", str(prob_path))
+    assert code == 0
+    cert = build_certificate84(6)
+    blocks = {"Q1": cert.q1, "Q2": cert.q2, "Q3": cert.q3_matrix()}
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({
+        label: [[float(x) for x in row] for row in m.rows]
+        for label, m in blocks.items()}))
+    code, out, _ = run(capsys, "sdp-verify", "--prob", str(prob_path),
+                       "--solution", str(sol_path))
+    witness = verify_charpoly_signs(blocks["Q3"]).witness
+    assert code == 1
+    assert out.splitlines() == [
+        "rejected: block Q3 is not PSD",
+        f"  block Q3: e_{witness['violating_k']} = "
+        f"{witness['violating_e']} < 0"]
+    assert witness["violating_e"].startswith("-")
+
+
 def test_sdp_export_auto_basis(tmp_path, capsys):
     path = tmp_path / "auto.dat-s"
     code, out, _ = run(capsys, "sdp-export", "--m", "4", "--r", "0", "--n", "1",

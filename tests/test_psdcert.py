@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -130,6 +132,86 @@ def test_integer_charpoly_edge_cases():
     assert charpoly(single) == [1, Fraction(7, 9)]
     q3 = build_certificate84(6).q3_matrix()
     assert charpoly(q3) == berkowitz_over_fractions(q3)
+
+
+def fraction_det(rows):
+    """Determinant by Fraction elimination with row swaps."""
+    a, det = [list(r) for r in rows], Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv], det = a[piv], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def principal_minor_charpoly(q):
+    """(-1)^k e_k for k = 0..d, e_k the sum of the k-by-k principal minors."""
+    return [(-1) ** k * sum((fraction_det([[q[i][j] for j in s] for i in s])
+                             for s in itertools.combinations(range(q.size), k)),
+                            Fraction(0))
+            for k in range(q.size + 1)]
+
+
+def poly_product(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def hidden_block_diagonal(rng, blocks):
+    """The block-diagonal matrix of ``blocks``, its indices shuffled by a
+    seeded permutation."""
+    d = sum(len(b) for b in blocks)
+    at = list(itertools.accumulate(map(len, blocks), initial=0))
+    perm = rng.sample(range(d), d)
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for block, start in zip(blocks, at):
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                rows[perm[start + i]][perm[start + j]] = x
+    return RationalMatrix(rows)
+
+
+def seeded_block(rng, size, symmetric):
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             if rng.random() < 0.6 else Fraction(0) for _ in range(size)]
+            for _ in range(size)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(size)] = [Fraction(0)] * size  # a zero row
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(size)]
+                for i in range(size)]
+    return rows
+
+
+def test_charpoly_is_the_product_over_hidden_blocks():
+    rng = random.Random(30)
+    cases = [[], [[[Fraction(-7, 9)]]], [[[Fraction(0)] * 3] * 3],
+             [[[Fraction(70)]]] * 6]  # 0x0, 1x1, a zero block, 70*I
+    for trial in range(60):
+        cases.append([seeded_block(rng, rng.randint(1, 4), trial % 2 == 0)
+                      for _ in range(rng.randint(1, 4))])
+    for blocks in cases:
+        q = hidden_block_diagonal(rng, blocks)
+        got = charpoly(q)
+        want = [Fraction(1)]
+        for block in blocks:
+            want = poly_product(
+                want, principal_minor_charpoly(RationalMatrix(block)))
+        assert got == want, blocks
+        if q.size <= 7:
+            assert got == principal_minor_charpoly(q), blocks
+    assert charpoly(RationalMatrix([[70 if i == j else 0 for j in range(6)]
+                                    for i in range(6)])) == [
+        math.comb(6, k) * (-70) ** k for k in range(7)]
 
 
 def test_q3_charpoly_matches_published():

@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tracesos import sdpio
 from tracesos.cert42 import build_certificate42
 from tracesos.cert84 import SYMBOLIC, InconsistentSystem, \
     derive_param_system, build_certificate84, published_params
 from tracesos.necklace import TraceProblem, trace_coeff_necklace
+from tracesos.poly import mono_from_vars, mono_key, var
 from tracesos.sdpio import (
     BasisBlock,
     BasisSpec,
@@ -339,6 +341,36 @@ def test_rationalization_failures():
             rationalize_and_verify(prob, {"G": [[entry]]}, 0)
 
 
+def test_nearest_is_limit_denominator():
+    rng = random.Random(30)
+    cases = [(k + 0.5, 1) for k in range(-5, 5)]  # exact ties
+    cases += [(x, bound) for x in (0.0, 3.0, -0.25, 0.375) for bound in (1, 8)]
+    for _ in range(3000):
+        x = rng.choice((-1, 1)) * 10 ** rng.uniform(-8, 8)
+        cases.append((x, rng.choice((1, 2, 7, 10**4, rng.randint(1, 10**9)))))
+    for x, bound in cases:
+        f = Fraction(x)
+        assert sdpio._nearest(f, bound) == f.limit_denominator(bound), (x, bound)
+
+
+def test_row_order_key_sorts_as_mono_key():
+    a, b = var("a", 1, 1), var("b", 1, 2)
+    for low, high in (((a, b, b), (a, a, b)), ((a, a), (a, a, a)),
+                      ((a, a), (a, a, b))):
+        assert mono_key(low) < mono_key(high)
+        assert sdpio._order_key(low) < sdpio._order_key(high)
+    rng = random.Random(30)
+    pool = [var(kind, i, j) for kind in "ab" for i in (1, 2, 3)
+            for j in range(i, 4)]
+    monos = list({mono_from_vars(rng.choices(pool[:rng.randint(1, 12)],
+                                             k=rng.randint(0, 8)))
+                  for _ in range(3000)})
+    assert sorted(monos, key=sdpio._order_key) == sorted(monos, key=mono_key)
+    for x, y in itertools.product(monos[:150], repeat=2):
+        assert ((sdpio._order_key(x) < sdpio._order_key(y))
+                == (mono_key(x) < mono_key(y))), (x, y)
+
+
 def test_rationalization_rounds_to_nearby_rationals():
     p = TraceProblem(4, 0, 1)
     prob = build_sdp(p, auto_basis(p))
@@ -572,13 +604,13 @@ def test_each_float_entry_is_rounded_once(monkeypatch):
             out[i][j] = out[j][i] = float(rows[i][j]) + rng.uniform(-5e-7, 5e-7)
         noisy[label] = out
     calls = []
-    rounding = Fraction.limit_denominator
+    rounding = sdpio._nearest
 
-    def counted(self, bound):
-        calls.append(self)
-        return rounding(self, bound)
+    def counted(f, bound):
+        calls.append(f)
+        return rounding(f, bound)
 
-    monkeypatch.setattr(Fraction, "limit_denominator", counted)
+    monkeypatch.setattr(sdpio, "_nearest", counted)
     report = rationalize_and_verify(prob, noisy, 10**4)
     assert len(calls) == sum(d * (d + 1) // 2 for d in (5, 30, 24))
     assert report.accepted and not report.violations, report.reason
