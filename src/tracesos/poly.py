@@ -9,14 +9,16 @@ has an empty term map.  A monomial is the sorted tuple of its variables,
 a repeated variable listed once per factor (a[1,2]^2*b[1,1] is
 (a[1,2], a[1,2], b[1,1])), so a product is one sort of the concatenated
 tuples and equality and hashing are structural.  Output orders monomials
-by :func:`mono_key`, their (variable, exponent) runs.  A whole sum of
-squares is expanded by one :func:`quadratic_form` call into one term map.
+by :func:`mono_key`, a flat key with the order of their (variable,
+exponent) runs.  A whole sum of squares is expanded by one
+:func:`quadratic_form` call into one term map.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -38,10 +40,6 @@ def var(kind: str, i: int, j: int) -> Var:
     return (kind, i, j)
 
 
-def var_str(v: Var) -> str:
-    return f"{v[0]}[{v[1]},{v[2]}]"
-
-
 def mono_from_vars(vs: Iterable[Var]) -> Monomial:
     """Monomial that is the product of the given variables (with repeats)."""
     return tuple(sorted(vs))
@@ -51,21 +49,32 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(m1 + m2))
 
 
-def mono_key(m: Monomial) -> Tuple[Tuple[Var, int], ...]:
-    """The (variable, exponent) runs of a monomial: the output sort key."""
-    return tuple((v, len(list(run))) for v, run in groupby(m))
+_REPEAT = ("c",)  # sorts above every variable ("a", i, j) and ("b", i, j)
 
 
-def runs_str(runs: Tuple[Tuple[Var, int], ...]) -> str:
-    """Text of the monomial whose :func:`mono_key` runs are given."""
-    if not runs:
-        return "1"
-    return "*".join(var_str(v) if e == 1 else f"{var_str(v)}^{e}"
-                    for v, e in runs)
+def mono_key(m: Monomial) -> Tuple:
+    """The output sort key: the monomial with each variable that repeats
+    the one before it replaced by _REPEAT.
+
+    Lemma: the keys compare as the (variable, exponent) runs do.  A run
+    (v, e) becomes v and e - 1 markers.  Two runs with different
+    variables differ at their first item in both.  With the same v and
+    e < e', the shorter run is followed by the next variable or by the
+    end of the key, both below the marker that the longer run still has
+    there.
+    """
+    return tuple([_REPEAT if x == y else y for x, y in zip((None,) + m, m)])
+
+
+@lru_cache(maxsize=None)
+def _run_text(v: Var, e: int) -> str:
+    text = f"{v[0]}[{v[1]},{v[2]}]"
+    return text if e == 1 else f"{text}^{e}"
 
 
 def mono_str(m: Monomial) -> str:
-    return runs_str(mono_key(m))
+    return "*".join([_run_text(v, len(list(run)))
+                     for v, run in groupby(m)]) or "1"
 
 
 def parse_monomial(text: str) -> Monomial:

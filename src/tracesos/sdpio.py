@@ -27,8 +27,8 @@ from .cert42 import build_certificate42
 from .cert84 import (SYMBOLIC, Entry, Grid, InconsistentSystem, ParamSystem,
                      build_certificate84, canonical_equation)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import (Monomial, Scalar, Var, _whole, mono_from_vars,
-                   mono_mul, mono_str, read_number, runs_str, var)
+from .poly import (Monomial, Scalar, _whole, mono_from_vars, mono_key,
+                   mono_mul, mono_str, read_number, var)
 from .psdcert import (PsdCertificate, RationalMatrix, _integer_rows,
                       verify_charpoly_signs)
 
@@ -217,22 +217,6 @@ class SdpProblem:
         return [c for c in self.constraints if c.name.startswith("match:")]
 
 
-_REPEAT = ("c",)  # sorts above every variable ("a", i, j) and ("b", i, j)
-
-
-def _order_key(mono: Monomial) -> Tuple:
-    """A flat key with the order of :func:`mono_key`: the monomial with
-    each variable that repeats the one before it replaced by _REPEAT.
-
-    Lemma: a run (v, e) of mono_key becomes v and e - 1 markers, so the
-    keys compare as the run lists do.  Two runs with different variables
-    differ at their first item in both.  With the same v and e < e', the
-    shorter run is followed by the next variable or by the end of the
-    key, both below the marker that the longer run still has there.
-    """
-    return tuple([_REPEAT if x == y else y for x, y in zip((None,) + mono, mono)])
-
-
 def build_sdp(p: TraceProblem, basis: BasisSpec,
               budget: Optional[int] = None) -> SdpProblem:
     """Coefficient-matching feasibility problem over the given basis.
@@ -253,13 +237,10 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
                 row = rows.setdefault(mono_mul(vec[u], vec[v]), {})
                 row[key] = row.get(key, 0) + (1 if u == v else 2)
     constraints = []
-    texts: Dict[Tuple[Var, int], str] = {}  # runs_str of each run, once
-    for mono in sorted(rows, key=_order_key):
-        name = "*".join([texts.get(run) or texts.setdefault(run, runs_str((run,)))
-                         for run in Counter(mono).items()]) or "1"
+    for mono in sorted(rows, key=mono_key):
         lhs = tuple(sorted(rows[mono].items()))
         rhs = target.terms.get(mono, 0)
-        constraints.append(Constraint(f"match:{name}", lhs, rhs))
+        constraints.append(Constraint("match:" + mono_str(mono), lhs, rhs))
     for b_idx, block in enumerate(basis.blocks):
         if block.grid is None:
             continue

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,35 @@ def test_output_order_is_the_exponent_pair_order(monos):
             counts[v] = counts.get(v, 0) + 1
         pairs[m] = tuple(sorted(counts.items()))
     assert sorted(monos, key=mono_key) == sorted(monos, key=pairs.get)
+
+
+def _runs(m):
+    """The (variable, exponent) runs of a monomial."""
+    return [(v, len(list(run))) for v, run in itertools.groupby(m)]
+
+
+def test_mono_key_sorts_as_its_runs():
+    a, b = var("a", 1, 1), var("b", 1, 2)
+    for low, high in (((a, b, b), (a, a, b)), ((a, a), (a, a, a)),
+                      ((a, a), (a, a, b))):
+        assert _runs(low) < _runs(high)
+        assert mono_key(low) < mono_key(high)
+    rng = random.Random(30)
+    pool = [var(kind, i, j) for kind in "ab" for i in (1, 2, 3)
+            for j in range(i, 4)]
+    monos = list({mono_from_vars(rng.choices(pool[:rng.randint(1, 12)],
+                                             k=rng.randint(0, 8)))
+                  for _ in range(3000)})
+    assert sorted(monos, key=mono_key) == sorted(monos, key=_runs)
+    for x, y in itertools.product(monos[:150], repeat=2):
+        assert (mono_key(x) < mono_key(y)) == (_runs(x) < _runs(y)), (x, y)
+    # the text is each run's variable, with ^e when e > 1, joined by *
+    assert max(e for m in monos for _, e in _runs(m)) == 8
+    assert {kind for m in monos for kind, _, _ in m} == {"a", "b"}
+    for m in monos + [MONO_ONE]:
+        want = "*".join(f"{kind}[{i},{j}]" + (f"^{e}" if e > 1 else "")
+                        for (kind, i, j), e in _runs(m)) or "1"
+        assert mono_str(m) == want, m
 
 
 def test_index_canonicalization_merges_products():

@@ -14,7 +14,7 @@ from tracesos.cert42 import build_certificate42
 from tracesos.cert84 import SYMBOLIC, InconsistentSystem, \
     derive_param_system, build_certificate84, published_params
 from tracesos.necklace import TraceProblem, trace_coeff_necklace
-from tracesos.poly import mono_from_vars, mono_key, var
+from tracesos.poly import mono_key, mono_str, parse_monomial, var
 from tracesos.sdpio import (
     BasisBlock,
     BasisSpec,
@@ -353,24 +353,6 @@ def test_nearest_is_limit_denominator():
         assert sdpio._nearest(f, bound) == f.limit_denominator(bound), (x, bound)
 
 
-def test_row_order_key_sorts_as_mono_key():
-    a, b = var("a", 1, 1), var("b", 1, 2)
-    for low, high in (((a, b, b), (a, a, b)), ((a, a), (a, a, a)),
-                      ((a, a), (a, a, b))):
-        assert mono_key(low) < mono_key(high)
-        assert sdpio._order_key(low) < sdpio._order_key(high)
-    rng = random.Random(30)
-    pool = [var(kind, i, j) for kind in "ab" for i in (1, 2, 3)
-            for j in range(i, 4)]
-    monos = list({mono_from_vars(rng.choices(pool[:rng.randint(1, 12)],
-                                             k=rng.randint(0, 8)))
-                  for _ in range(3000)})
-    assert sorted(monos, key=sdpio._order_key) == sorted(monos, key=mono_key)
-    for x, y in itertools.product(monos[:150], repeat=2):
-        assert ((sdpio._order_key(x) < sdpio._order_key(y))
-                == (mono_key(x) < mono_key(y))), (x, y)
-
-
 def test_rationalization_rounds_to_nearby_rationals():
     p = TraceProblem(4, 0, 1)
     prob = build_sdp(p, auto_basis(p))
@@ -469,6 +451,11 @@ def test_auto_basis_shrinks_the_863_problem(tmp_path):
     assert len(prob.constraints) == 1749
     assert os.path.getsize(path) == 194_843
     assert import_sdpa(str(path)) == prob
+    # match rows are named by mono_str, in strictly increasing mono_key order
+    texts = [c.name[len("match:"):] for c in prob.match_constraints()]
+    keys = [mono_key(parse_monomial(t)) for t in texts]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    assert [mono_str(parse_monomial(t)) for t in texts] == texts
 
 
 @pytest.mark.parametrize("args", [(4, 2, 3, False), (6, 2, 3, False),
