@@ -69,7 +69,7 @@ from math import comb, gcd, lcm
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .golden import load as load_golden
-from .necklace import TraceProblem, trace_coeff_necklace
+from .necklace import TraceProblem, check_budget, trace_coeff_necklace
 from .poly import (
     Monomial,
     Polynomial,
@@ -564,13 +564,16 @@ def coefficient_match_equations(n: int) -> ParamSystem:
         for m, coeffs in linear.items())
 
 
-def derive_param_system(n: int) -> ParamSystem:
+def derive_param_system(n: int, budget: Optional[int] = None) -> ParamSystem:
     """Re-derive the full parameter constraint system (needs n >= 4); a
-    contradiction raises InconsistentSystem naming the derived system."""
+    contradiction raises InconsistentSystem naming the derived system.
+    The necklace oracle's plan for diagonal (8,4,n) is checked against
+    ``budget`` before the certificate is built."""
     if n < 4:
         raise InvalidDimension(
             f"parameter matching needs n >= 4 (collision classes merge "
             f"below that), got {n}")
+    check_budget(TraceProblem(8, 4, n, diagonal_a=True), budget)
     try:
         system = coefficient_match_equations(n)
         system.rref()

@@ -117,7 +117,7 @@ def check_dual_oracle() -> CheckResult:
 def check_counterexample() -> CheckResult:
     """trace(ABAB) = -31 but the full word sum has trace 138."""
     g = golden.load("counterexample_42")
-    assign = {poly.var(kind, i + 1, j + 1): Fraction(g[kind][i][j])
+    assign = {(kind, i + 1, j + 1): Fraction(g[kind][i][j])
               for kind in "ab" for i in range(2) for j in range(2)}
     got_word = necklace.word_trace("ABAB", 2).substitute(assign)
     got_sum = necklace.trace_coeff_necklace(TraceProblem(4, 2, 2)).substitute(assign)

@@ -119,7 +119,7 @@ def cmd_cert84(args) -> int:
 
 def cmd_paramsys(args) -> int:
     try:
-        system = cert84.derive_param_system(args.n)
+        system = cert84.derive_param_system(args.n, budget=args.budget)
     except cert84.InconsistentSystem as exc:
         print(exc)
         return 1
@@ -159,6 +159,7 @@ def cmd_psd(args) -> int:
 
 def cmd_sdp_export(args) -> int:
     problem = TraceProblem(args.m, args.r, args.n, diagonal_a=args.diagonal_a)
+    necklace.check_budget(problem, args.budget)  # before any basis is built
     if args.basis == "auto":
         basis = sdpio.auto_basis(problem)
     elif (args.m, args.r) == (4, 2):
@@ -276,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--emit", help="write the system to this file")
     p.add_argument("--json", action="store_true")
+    add_budget(p)
     p.set_defaults(func=cmd_paramsys)
 
     p = sub.add_parser("psd", help="certify positive semidefiniteness")

@@ -153,6 +153,13 @@ def _check_budget(planned: int, budget: Optional[int]) -> None:
         raise BudgetExceeded(planned, budget)
 
 
+def check_budget(p: TraceProblem, budget: Optional[int]) -> None:
+    """Refuse ``p`` when the necklace oracle's planned visits exceed
+    ``budget`` (None admits any plan).  A caller that builds more than the
+    coefficient calls it first, so a refusal costs no work."""
+    _check_budget(planned_visits(p, skip_zero=True), budget)
+
+
 def enumerate_necklaces(p: TraceProblem,
                         budget: Optional[int] = None) -> Iterator[Necklace]:
     """Yield each (m, r, n)-necklace with a nonzero monomial once: per
@@ -188,7 +195,7 @@ def trace_coeff_necklace(p: TraceProblem, budget: Optional[int] = None) -> Polyn
     [n].  Up to the lift, a monomial on {1..k} is the sorted tuple of its
     variables' positions in a k-block :func:`_flat` list; it has m >= 2
     of them, so an itemgetter over it returns a tuple."""
-    _check_budget(planned_visits(p, skip_zero=True), budget)
+    check_budget(p, budget)
     n0 = min(p.n, p.arc_count)
     strings = _growth_strings(p.arc_count, n0)
     blocks = [_positions(k) for k in range(n0 + 1)]

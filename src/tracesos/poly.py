@@ -4,6 +4,13 @@ Variables are the entries a[i,j] and b[i,j] of two n-by-n symmetric
 matrices, stored with canonical index order i <= j so that a[2,1] and
 a[1,2] denote the same variable.  Coefficients are exact rationals.
 
+A variable is one small int, ``(kind == "b") << 28 | i << 14 | j`` with
+i <= j < 2**14 (:func:`var`); :func:`var_parts` reads it back.  The three
+fields are disjoint bit ranges, kind above i above j, and each value fits
+its field, so ints compare as the (kind, i, j) triples do.  Every
+variable is below 2**29 and so one CPython int digit, which sorts and
+hashes on the int fast paths.
+
 A polynomial maps monomials to nonzero coefficients; the zero polynomial
 has an empty term map.  A monomial is the sorted tuple of its variables,
 a repeated variable listed once per factor (a[1,2]^2*b[1,1] is
@@ -22,22 +29,39 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-Var = Tuple[str, int, int]
+Var = int
 Monomial = Tuple[Var, ...]
 Scalar = Union[int, Fraction]
 
 MONO_ONE: Monomial = ()
 
+_INDEX_END = 1 << 14  # i sits in bits 14..27, j in bits 0..13, kind in 28
+
 
 def var(kind: str, i: int, j: int) -> Var:
-    """Return the canonical variable for entry (i, j) of matrix A or B."""
+    """Return the canonical variable for entry (i, j) of matrix A or B.
+
+    Lemma: variables compare as their (kind, i, j) triples with i <= j.
+    The value is kind * 2**28 + i * 2**14 + j with kind 0 for "a" and 1
+    for "b" and 1 <= i <= j < 2**14, so j < 2**14 and i * 2**14 + j
+    < 2**28: each field lies below the next one's unit, and the int order
+    is the order of kind, then i, then j.  Every variable is below 2**29.
+    """
     if kind not in ("a", "b"):
         raise ValueError(f"variable kind must be 'a' or 'b', got {kind!r}")
     if i < 1 or j < 1:
         raise ValueError(f"matrix indices must be >= 1, got ({i}, {j})")
+    if i >= _INDEX_END or j >= _INDEX_END:
+        raise ValueError(f"matrix indices must be below {_INDEX_END}, "
+                         f"got ({i}, {j})")
     if i > j:
         i, j = j, i
-    return (kind, i, j)
+    return (kind == "b") << 28 | i << 14 | j
+
+
+def var_parts(v: Var) -> Tuple[str, int, int]:
+    """The (kind, i, j) of a variable, i <= j."""
+    return "ab"[v >> 28], v >> 14 & 0x3FFF, v & 0x3FFF
 
 
 def mono_from_vars(vs: Iterable[Var]) -> Monomial:
@@ -49,7 +73,7 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(m1 + m2))
 
 
-_REPEAT = ("c",)  # sorts above every variable ("a", i, j) and ("b", i, j)
+_REPEAT = 1 << 29  # sorts above every variable
 
 
 def mono_key(m: Monomial) -> Tuple:
@@ -68,7 +92,7 @@ def mono_key(m: Monomial) -> Tuple:
 
 @lru_cache(maxsize=None)
 def _run_text(v: Var, e: int) -> str:
-    text = f"{v[0]}[{v[1]},{v[2]}]"
+    text = "{}[{},{}]".format(*var_parts(v))
     return text if e == 1 else f"{text}^{e}"
 
 
@@ -212,9 +236,11 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial({m: c * cc for m, cc in self.terms.items()})
 
-    def substitute(self, assignment: Mapping[Var, Scalar]) -> Fraction:
-        """Evaluate at exact rationals; the assignment must cover every
-        variable of the polynomial (a missing one raises KeyError)."""
+    def substitute(self, assignment: Mapping[Tuple[str, int, int], Scalar]
+                   ) -> Fraction:
+        """Evaluate at exact rationals, keyed by (kind, i, j); the
+        assignment must cover every variable of the polynomial (a missing
+        one raises KeyError)."""
         assign = {var(*k): Fraction(v) for k, v in assignment.items()}
         total = Fraction(0)
         for m, c in self.terms.items():
@@ -256,11 +282,9 @@ class Polynomial:
 
 def swap_ab(p: Polynomial) -> Polynomial:
     """Exchange the a- and b-variables throughout."""
-    flip = {"a": "b", "b": "a"}
     out = {}
     for m, c in p.terms.items():
-        m2 = tuple(sorted((flip[k], i, j) for k, i, j in m))
-        out[m2] = c
+        out[tuple(sorted([v ^ 1 << 28 for v in m]))] = c  # flip the kind bit
     return Polynomial(out)
 
 
@@ -269,7 +293,7 @@ def relabel(p: Polynomial, perm: Mapping[int, int]) -> Polynomial:
     out: Dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
         key = mono_from_vars(var(k, perm.get(i, i), perm.get(j, j))
-                             for k, i, j in m)
+                             for k, i, j in map(var_parts, m))
         if key in out:
             out[key] = out[key] + c
         else:

@@ -28,7 +28,7 @@ from .cert84 import (SYMBOLIC, Entry, Grid, InconsistentSystem, ParamSystem,
                      build_certificate84, canonical_equation)
 from .necklace import TraceProblem, trace_coeff_necklace
 from .poly import (Monomial, Scalar, _whole, mono_from_vars, mono_key,
-                   mono_mul, mono_str, read_number, var)
+                   mono_mul, mono_str, read_number, var, var_parts)
 from .psdcert import (PsdCertificate, RationalMatrix, _integer_rows,
                       verify_charpoly_signs)
 
@@ -83,11 +83,12 @@ class BasisSpec:
 
 def _connected(mono: Monomial) -> bool:
     """Whether the edges {i, j} of the monomial's variables connect its labels."""
-    reach = {mono[0][1]}
-    for _ in mono:  # each pass adds every edge that touches reach
-        reach.update(x for _, i, j in mono if i in reach or j in reach
+    edges = [(i, j) for _, i, j in map(var_parts, mono)]
+    reach = {edges[0][0]}
+    for _ in edges:  # each pass adds every edge that touches reach
+        reach.update(x for i, j in edges if i in reach or j in reach
                      for x in (i, j))
-    return all(i in reach for _, i, _ in mono)
+    return all(i in reach for i, _ in edges)
 
 
 def _splits(z: Monomial) -> List[Tuple[Monomial, Monomial]]:
@@ -106,7 +107,7 @@ def _splits(z: Monomial) -> List[Tuple[Monomial, Monomial]]:
 def _odd_labels(mono: Monomial) -> Tuple[int, ...]:
     """The labels of odd degree in the monomial, a[i,i] counting i twice:
     its sign class."""
-    deg = Counter(x for _, i, j in mono for x in (i, j))
+    deg = Counter(x for _, i, j in map(var_parts, mono) for x in (i, j))
     return tuple(sorted(i for i, d in deg.items() if d % 2))
 
 
@@ -231,11 +232,16 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
     rows: Dict[Monomial, Dict[Tuple[int, int, int], int]] = {
         m: {} for m in target.terms}
     for b_idx, block in enumerate(basis.blocks):
+        cells = [(u, v, (b_idx, u, v), 1 if u == v else 2)
+                 for u, v in _upper(block.dim)]
         for vec in block.vectors:
-            for u, v in _upper(len(vec)):
-                key = (b_idx, u, v)
-                row = rows.setdefault(mono_mul(vec[u], vec[v]), {})
-                row[key] = row.get(key, 0) + (1 if u == v else 2)
+            for u, v, key, w in cells:
+                m = mono_mul(vec[u], vec[v])
+                row = rows.get(m)
+                if row is None:
+                    rows[m] = {key: w}
+                else:
+                    row[key] = row.get(key, 0) + w
     constraints = []
     for mono in sorted(rows, key=mono_key):
         lhs = tuple(sorted(rows[mono].items()))

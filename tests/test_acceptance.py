@@ -13,7 +13,7 @@ from tracesos import checks
 from tracesos.cert42 import assemble_sos_42, build_certificate42
 from tracesos.cert84 import assemble_sos_84, build_certificate84
 from tracesos.necklace import TraceProblem, trace_coeff_necklace
-from tracesos.poly import Polynomial, relabel
+from tracesos.poly import Polynomial, relabel, var_parts
 
 
 def _report(number: int, result: checks.CheckResult, started: float):
@@ -65,7 +65,7 @@ def test_criterion_6_identity_84():
 
 
 def _labels(mono) -> set:
-    return {x for _, i, j in mono for x in (i, j)}
+    return {x for _, i, j in map(var_parts, mono) for x in (i, j)}
 
 
 @pytest.mark.parametrize("problem, sos", [

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tracesos.cli import main
+from tracesos.necklace import BudgetExceeded
 from tracesos.poly import Polynomial
 
 
@@ -301,6 +302,36 @@ def test_matrix_oracle_runs_under_the_default_budget(capsys):
                        "--oracle", "matrix")
     assert code == 2
     assert err == "error: enumeration needs 117573120 visits, budget is 100000000\n"
+
+
+def test_budget_refuses_before_a_basis_or_certificate_is_built(
+        tmp_path, capsys, monkeypatch):
+    from tracesos import cert84, sdpio
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the budget was checked")
+
+    for name in ("auto_basis", "certificate_basis_84"):
+        monkeypatch.setattr(sdpio, name, refuse)
+    monkeypatch.setattr(cert84, "build_certificate84", refuse)
+    out = str(tmp_path / "p.dat-s")
+    # 172186884 = 8 rotation classes of 8 letters with 6 b's * 9^6 labelings
+    for argv, planned in [
+            (("sdp-export", "--m", "8", "--r", "6", "--n", "9",
+              "--basis", "auto", "--out", out), 172186884),
+            (("sdp-export", "--m", "8", "--r", "4", "--n", "9",
+              "--diagonal-a", "--basis", "certificate", "--budget", "1000",
+              "--out", out), 65610),
+            (("paramsys", "--n", "100"), 10 * 100 ** 4),
+            (("paramsys", "--n", "9", "--budget", "1000"), 65610)]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        budget = 1000 if "--budget" in argv else 10**8
+        assert err == (f"error: enumeration needs {planned} visits, "
+                       f"budget is {budget}\n"), argv
+    assert not os.path.exists(out)
+    with pytest.raises(BudgetExceeded):
+        cert84.derive_param_system(100, budget=10**8)
 
 
 def test_python_m_tracesos(tmp_path):

@@ -19,21 +19,50 @@ from tracesos.poly import (
     relabel,
     swap_ab,
     var,
+    var_parts,
 )
 
 
 def test_var_canonical_order():
-    assert var("a", 3, 2) == var("a", 2, 3) == ("a", 2, 3)
-    assert var("b", 7, 7) == ("b", 7, 7)
+    assert var("a", 3, 2) == var("a", 2, 3)
+    assert var_parts(var("a", 3, 2)) == ("a", 2, 3)
+    assert var_parts(var("b", 7, 7)) == ("b", 7, 7)
     with pytest.raises(ValueError):
         var("c", 1, 1)
     with pytest.raises(ValueError):
         var("a", 0, 1)
 
 
+def test_var_order_is_triple_order():
+    # the lemma of poly.var: the ints sort as their (kind, i, j) triples,
+    # at the ends of each index field and on seeded draws
+    edges = [1, 2, 9, 10, 99, 100, 16382, 16383]
+    triples = [(kind, i, j) for kind in "ab" for i in edges for j in edges
+               if i <= j]
+    rng = random.Random(32)
+    for _ in range(2000):
+        i, j = sorted(rng.randint(1, 16383) for _ in range(2))
+        triples.append((rng.choice("ab"), i, j))
+    vs = [var(*t) for t in triples]
+    assert [var_parts(v) for v in vs] == triples
+    assert all(type(v) is int and 0 < v < 1 << 29 for v in vs)
+    assert sorted(vs) == [var(*t) for t in sorted(triples)]
+    for x, y in itertools.product(vs[:150], repeat=2):
+        assert (x < y) == (var_parts(x) < var_parts(y)), (x, y)
+
+
+def test_var_refuses_indices_outside_its_fields():
+    for i, j in ((0, 1), (1, 0), (16384, 1), (1, 16384), (16384, 16384)):
+        with pytest.raises(ValueError):
+            var("a", i, j)
+    assert var_parts(var("b", 16383, 16383)) == ("b", 16383, 16383)
+    with pytest.raises(ValueError, match="below 16384"):
+        parse_monomial("a[1,16384]")
+
+
 def test_monomial_basics():
     m = mono_from_vars([var("a", 2, 1), var("b", 1, 1), var("a", 1, 2)])
-    assert m == (("a", 1, 2), ("a", 1, 2), ("b", 1, 1))
+    assert tuple(map(var_parts, m)) == (("a", 1, 2), ("a", 1, 2), ("b", 1, 1))
     assert mono_str(m) == "a[1,2]^2*b[1,1]"
     assert mono_str(MONO_ONE) == "1"
     assert mono_mul(m, MONO_ONE) == m
@@ -75,8 +104,9 @@ def test_output_order_is_the_exponent_pair_order(monos):
 
 
 def _runs(m):
-    """The (variable, exponent) runs of a monomial."""
-    return [(v, len(list(run))) for v, run in itertools.groupby(m)]
+    """The (variable, exponent) runs of a monomial, each variable read as
+    its (kind, i, j) triple."""
+    return [(var_parts(v), len(list(run))) for v, run in itertools.groupby(m)]
 
 
 def test_mono_key_sorts_as_its_runs():
@@ -96,7 +126,7 @@ def test_mono_key_sorts_as_its_runs():
         assert (mono_key(x) < mono_key(y)) == (_runs(x) < _runs(y)), (x, y)
     # the text is each run's variable, with ^e when e > 1, joined by *
     assert max(e for m in monos for _, e in _runs(m)) == 8
-    assert {kind for m in monos for kind, _, _ in m} == {"a", "b"}
+    assert {var_parts(v)[0] for m in monos for v in m} == {"a", "b"}
     for m in monos + [MONO_ONE]:
         want = "*".join(f"{kind}[{i},{j}]" + (f"^{e}" if e > 1 else "")
                         for (kind, i, j), e in _runs(m)) or "1"

@@ -14,7 +14,7 @@ from tracesos.cert42 import build_certificate42
 from tracesos.cert84 import SYMBOLIC, InconsistentSystem, \
     derive_param_system, build_certificate84, published_params
 from tracesos.necklace import TraceProblem, trace_coeff_necklace
-from tracesos.poly import mono_key, mono_str, parse_monomial, var
+from tracesos.poly import mono_key, mono_str, parse_monomial, var, var_parts
 from tracesos.sdpio import (
     BasisBlock,
     BasisSpec,
@@ -44,12 +44,15 @@ def test_auto_basis_401_single_square():
 
 def test_vectors_and_bases_hold_monomials():
     """Every certificate and basis vector entry is a monomial: the sorted
-    tuple of its (kind, i, j) variable triples with i <= j."""
+    tuple of its variables, ints that read as (kind, i, j) with i <= j."""
+    def is_var(v):
+        kind, i, j = var_parts(v)
+        return (type(v) is int and var(kind, i, j) == v
+                and kind in ("a", "b") and 1 <= i <= j)
+
     def is_monomial(m):
         return (isinstance(m, tuple) and list(m) == sorted(m)
-                and all(isinstance(v, tuple) and len(v) == 3
-                        and v[0] in ("a", "b") and 1 <= v[1] <= v[2]
-                        for v in m))
+                and all(is_var(v) for v in m))
 
     c42, c84 = build_certificate42(3), build_certificate84(4)
     vectors = [c42.z1, *c42.z2_family.values(),
