@@ -85,11 +85,6 @@ def cmd_audit42(args) -> int:
 
 
 def cmd_cert84(args) -> int:
-    if args.general_a:
-        raise ValueError("general symmetric A is out of scope for the degree-8 "
-                         "certificate; diagonalize A by an orthogonal change of "
-                         "basis first (the coefficient polynomial is "
-                         "basis-invariant)")
     if args.params == "published":
         params = None
     elif args.params == "symbolic":
@@ -264,12 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_budget(p)
     p.set_defaults(func=cmd_audit42)
 
-    p = sub.add_parser("cert84", help="build the degree-8 diagonal-A certificate")
+    p = sub.add_parser(
+        "cert84", help="build the degree-8 diagonal-A certificate",
+        description="General symmetric A is out of scope for the degree-8 "
+        "certificate; diagonalize A by an orthogonal change of basis first "
+        "(the coefficient polynomial is basis-invariant).")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--params", default="published",
                    help="'published', 'symbolic', or a JSON file of x values")
-    p.add_argument("--general-a", action="store_true",
-                   help=argparse.SUPPRESS)
     p.add_argument("--emit", help="write the Q3 matrix to this file")
     p.set_defaults(func=cmd_cert84)
 

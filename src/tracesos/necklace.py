@@ -92,8 +92,8 @@ class TraceProblem:
 
     def cycle_count(self) -> int:
         """Cycles with a nonzero monomial: per letter pattern, one label per
-        edge, or per arc for a diagonal A.  The matrix oracle's polynomial
-        term products grow with it too, so it budgets both oracles."""
+        edge, or per arc for a diagonal A.  The matrix oracle's term products
+        grow with it too; it budgets that oracle and ``enumerate_necklaces``."""
         return comb(self.m, self.r) * self.n**self.arc_count
 
 

@@ -220,16 +220,9 @@ class Polynomial:
         return Polynomial(out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return sum_of_products([(self, other)])
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, c: Scalar) -> "Polynomial":
         if not c:
@@ -253,24 +246,8 @@ class Polynomial:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            cs = str(c)
-            if "/" in cs or "-" in cs[1:]:
-                cs = f"({cs})"
-            if m == MONO_ONE:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono_str(m))
-            else:
-                parts.append(f"{cs}*{mono_str(m)}")
-        return " + ".join(parts)
-
     def __repr__(self):
-        return f"Polynomial({self.text()})"
+        return f"Polynomial({self.to_jsonable()})"
 
     def to_jsonable(self):
         return [[mono_str(m), str(c)] for m, c in self.sorted_terms()]

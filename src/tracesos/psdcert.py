@@ -44,7 +44,7 @@ class NotAKroneckerProduct(ValueError):
 
 
 class SingularLeadingBlock(ValueError):
-    """The leading block of a Schur split is not invertible."""
+    """The leading block of a Schur split has a zero pivot in index order."""
 
 
 class RationalMatrix:
@@ -314,6 +314,14 @@ def verify_tensor_psd(q: RationalMatrix, left: RationalMatrix,
                           matrix_hash=q.content_hash(), witness=witness)
 
 
+def _eliminate(a: List[list], k: int) -> None:
+    """Eliminate pivot a[k][k] in place from the later rows' upper triangle."""
+    for i in range(k + 1, len(a)):
+        f = a[k][i] / a[k][k]
+        if f:
+            a[i][i:] = [x - f * y for x, y in zip(a[i][i:], a[k][i:])]
+
+
 def verify_ldlt(q: RationalMatrix) -> PsdCertificate:
     """Decide PSD by symmetric elimination in index order.  A positive
     diagonal entry is a pivot; a zero one whose remaining row is zero is
@@ -328,10 +336,7 @@ def verify_ldlt(q: RationalMatrix) -> PsdCertificate:
     for k in range(d):
         piv = a[k][k]
         if piv > 0:
-            for i in range(k + 1, d):
-                f = a[k][i] / piv
-                if f:
-                    a[i][i:] = [x - f * y for x, y in zip(a[i][i:], a[k][i:])]
+            _eliminate(a, k)
         elif piv < 0 or any(a[k][k + 1:]):
             w = [Fraction(0)] * d
             if piv < 0:
@@ -355,42 +360,46 @@ def verify_ldlt(q: RationalMatrix) -> PsdCertificate:
                           witness=witness, nullity=d - rank)
 
 
-def schur_complement(q: RationalMatrix, split: int) -> RationalMatrix:
-    """S - R^T P^(-1) R for q = [[P, R], [R^T, S]] split after `split` rows,
-    by eliminating the first `split` columns with pivots from P's rows."""
+def _split_size(q: RationalMatrix, split: int) -> int:
+    """q's size, once q is symmetric and ``split`` a Schur split of it."""
     q.require_symmetric()
     d = q.size
     if d < 2:
         raise ValueError(f"a {d}x{d} matrix has no Schur split")
     if not 0 < split < d:
         raise ValueError(f"split must be in 1..{d - 1}")
+    return d
+
+
+def schur_complement(q: RationalMatrix, split: int) -> RationalMatrix:
+    """S - R^T P^(-1) R for q = [[P, R], [R^T, S]] split after `split` rows:
+    verify_ldlt's step on P's pivots, in index order, leaves the
+    complement's upper triangle in place.  A zero pivot raises."""
+    d = _split_size(q, split)
     a = [list(row) for row in q.rows]
     for k in range(split):
-        piv_row = next((i for i in range(k, split) if a[i][k] != 0), None)
-        if piv_row is None:
+        if not a[k][k]:
             raise SingularLeadingBlock(f"leading block singular at column {k}")
-        a[k], a[piv_row] = a[piv_row], a[k]
-        for i in range(k + 1, d):
-            f = a[i][k] / a[k][k]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return RationalMatrix([row[split:] for row in a[split:]])
+        _eliminate(a, k)
+    return RationalMatrix([[a[min(i, j)][max(i, j)] for j in range(split, d)]
+                           for i in range(split, d)])
 
 
 def verify_schur(q: RationalMatrix, split: int) -> PsdCertificate:
-    """Certify PSD via a positive-definite leading block and PSD complement
-    (the block is invertible once the complement exists, so PSD means PD)."""
-    comp = schur_complement(q, split)
-    pd_cert = verify_ldlt(q.submatrix(list(range(split))))
-    comp_cert = verify_ldlt(comp)
-    psd = pd_cert.psd and comp_cert.psd
-    nullity = comp_cert.nullity if psd else None
-    return PsdCertificate(
-        method="schur_complement", psd=psd, matrix_hash=q.content_hash(),
-        witness={"split": split, "complement": comp.to_jsonable(),
-                 "leading_cert": pd_cert.to_jsonable(),
-                 "complement_cert": comp_cert.to_jsonable()},
-        nullity=nullity)
+    """Certify PSD via a positive-definite leading block P and a PSD
+    complement.  P is decided first: NOT PSD there makes q NOT PSD, with
+    P's vector; a PSD but singular P raises SingularLeadingBlock."""
+    _split_size(q, split)
+    cert = verify_ldlt(q.submatrix(range(split)))
+    witness = {"split": split, "leading_cert": cert.to_jsonable()}
+    if cert.psd:
+        comp = schur_complement(q, split)
+        cert = verify_ldlt(comp)
+        witness.update(complement=comp.to_jsonable(),
+                       complement_cert=cert.to_jsonable())
+    return PsdCertificate(method="schur_complement", psd=cert.psd,
+                          matrix_hash=q.content_hash(), witness=witness,
+                          nullity=cert.nullity)
 
 
 def replay(cert: PsdCertificate, q: RationalMatrix) -> PsdCertificate:

@@ -18,9 +18,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cert42 import build_certificate42
@@ -67,6 +69,10 @@ class BasisSpec:
     blocks: Tuple[BasisBlock, ...]
 
     def content_hash(self) -> str:
+        return self._hash
+
+    @cached_property  # once per basis object: it is frozen
+    def _hash(self) -> str:
         payload = []
         for b in self.blocks:
             vecs = [[mono_str(m) for m in vec] for vec in b.vectors]
@@ -436,10 +442,11 @@ def rationalize_and_verify(prob: SdpProblem,
                            denominator_bound: int = 10**4) -> SolutionReport:
     """Round approximate block matrices to rationals and verify exactly.
 
-    Each float entry is rounded by :func:`_nearest` to the nearest
-    rational with denominator at most the bound; the rounded point is
-    accepted only if every constraint holds exactly and every block has
-    an exact PSD certificate.
+    Each float entry of a block's upper triangle is rounded by
+    :func:`_nearest` to the nearest rational with denominator at most the
+    bound, and the lower triangle mirrors it; an entry anywhere that is not
+    a number is refused.  The rounded point is accepted only if every
+    constraint holds exactly and every block has an exact PSD certificate.
     """
     if denominator_bound < 1:
         raise RationalizationFailed(f"denominator bound must be at least 1, "
@@ -460,14 +467,18 @@ def rationalize_and_verify(prob: SdpProblem,
             raise RationalizationFailed(
                 f"block {label} has wrong shape, expected {dim}x{dim}")
         rows = [[None] * dim for _ in range(dim)]
-        for i, j in _upper(dim):  # the lower triangle mirrors the upper
+        for i, j in itertools.product(range(dim), repeat=2):
             x = raw[i][j]
+            if j < i and (type(x) is int or type(x) is float
+                          and math.isfinite(x)):
+                continue  # the lower triangle mirrors the upper
             try:
                 f = read_number(x, f"block {label} entry ({i},{j})")
             except ValueError as exc:
                 raise RationalizationFailed(str(exc)) from None
-            rows[i][j] = rows[j][i] = (_nearest(f, denominator_bound)
-                                       if isinstance(x, float) else f)
+            if i <= j:
+                rows[i][j] = rows[j][i] = (_nearest(f, denominator_bound)
+                                           if isinstance(x, float) else f)
         blocks.append(RationalMatrix(rows))
     report = SolutionReport(accepted=False,
                             blocks=dict(zip(labels, blocks)))

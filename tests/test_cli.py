@@ -174,13 +174,24 @@ def test_workers_flag_is_gone(capsys):
 
 
 def test_unreadable_input_files_exit_2(tmp_path, capsys):
+    from tracesos.cert42 import build_certificate42
     from tracesos.necklace import TraceProblem
-    from tracesos.sdpio import auto_basis, build_sdp, export_sdpa
+    from tracesos.sdpio import (auto_basis, build_sdp, certificate_basis_42,
+                                export_sdpa)
 
     prob = tmp_path / "prob.dat-s"
     p = TraceProblem(4, 0, 1)
     export_sdpa(build_sdp(p, auto_basis(p)), str(prob))
-    files = {"empty.dat-s": "",
+    prob422 = tmp_path / "prob422.dat-s"
+    export_sdpa(build_sdp(TraceProblem(4, 2, 2), certificate_basis_42(2)),
+                str(prob422))
+    cert = build_certificate42(2)
+    # the published floats, with a null below Q1's diagonal
+    sol422 = {k: [[float(x) for x in row] for row in m.rows]
+              for k, m in (("Q1", cert.q1), ("Q2", cert.q2))}
+    sol422["Q1"][1][0] = None
+    files = {"lowernull.json": json.dumps(sol422),
+             "empty.dat-s": "",
              "truncated.dat-s": "".join(prob.read_text().splitlines(True)[:4]),
              "nolabel.dat-s": "* block\n1\n1\n1\n1\n",
              "norows.json": '{"cols": [[1]]}',
@@ -231,6 +242,9 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
              "x1: zero denominator"),
             (("sdp-verify", "--prob", path["huge.dat-s"],
               "--solution", path["sol.json"]), "more than"),
+            (("sdp-verify", "--prob", str(prob422),
+              "--solution", path["lowernull.json"]),
+             "block Q1 entry (1,0): expected a number"),
             (("psd", "--in", path["deep.json"]), "deep.json: maximum recursion"),
             (("psd", "--in", path["one.json"], "--method", "gram",
               "--factor", path["deep.json"]), "deep.json: maximum recursion"),
@@ -241,7 +255,6 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
             *((("cert84", "--n", "2", "--params", path[f"key{key}.json"]),
                f"key{key}.json: '{key}' is not one of x1..x22")
               for key in ("x23", "x0", "x-3", "foo", "x01")),
-            (("cert84", "--n", "3", "--general-a"), "change of basis"),
             (("psd", "--in", path["one.json"], "--method", "schur"),
              "--split is required"),
             (("psd", "--in", path["one.json"], "--method", "schur",
@@ -381,9 +394,15 @@ def test_cert84_emit_then_psd(tmp_path, capsys):
 
 
 def test_cert84_rejects_general_a(capsys):
-    code, _, err = run(capsys, "cert84", "--n", "3", "--general-a")
-    assert code == 2
-    assert "change of basis" in err
+    # no flag asks for general A: argparse refuses it, the help says why
+    with pytest.raises(SystemExit) as exc:
+        main(["cert84", "--n", "3", "--general-a"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --general-a" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["cert84", "--help"])
+    assert exc.value.code == 0
+    assert "change of basis" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cert84_params_file(tmp_path, capsys):

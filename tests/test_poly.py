@@ -187,10 +187,18 @@ def test_serialization_round_trip():
 
 
 def test_text_form():
+    # repr shows the JSON form: (monomial text, coefficient) in mono_key order
     p = Polynomial.monomial(
         mono_from_vars([var("a", 1, 1)] * 2 + [var("b", 1, 1)] * 2), 6)
-    assert p.text() == "6*a[1,1]^2*b[1,1]^2"
-    assert Polynomial.zero().text() == "0"
+    assert repr(p) == "Polynomial([['a[1,1]^2*b[1,1]^2', '6']])"
+    assert repr(Polynomial.zero()) == "Polynomial([])"
+    # scaling is Polynomial.scale; a number does not multiply a Polynomial
+    with pytest.raises(TypeError):
+        p * 2
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * p
+    assert p.scale(Fraction(1, 2)) == Polynomial.monomial(
+        mono_from_vars([var("a", 1, 1)] * 2 + [var("b", 1, 1)] * 2), 3)
 
 
 def test_swap_and_relabel():

@@ -324,9 +324,29 @@ def test_schur_on_degree8_q2():
 
 
 def test_schur_singular_leading_block():
+    # the leading block [[0,0],[0,0]] is PSD but singular
     singular = RationalMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 1]])
     with pytest.raises(SingularLeadingBlock):
         schur_complement(singular, 2)
+    with pytest.raises(SingularLeadingBlock,
+                       match=r"^leading block singular at column 0$"):
+        verify_schur(singular, 2)
+
+
+def test_schur_not_psd_leading_block_is_a_verdict():
+    # diag(1, -1, 0) is NOT PSD and singular: q is NOT PSD, no complement
+    q = RationalMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0],
+                        [0, 0, 0, 1]])
+    cert = verify_schur(q, 3)
+    assert not cert.psd and cert.nullity is None
+    assert set(cert.witness) == {"split", "leading_cert"}
+    lead = cert.witness["leading_cert"]
+    assert lead["method"] == "ldlt" and not lead["psd"]
+    assert lead["witness"] == {"index": 1, "vector": ["0", "1", "0"],
+                               "value": "-1"}
+    replay(PsdCertificate.from_jsonable(lead), q.submatrix(range(3)))
+    assert replay(cert, q).to_jsonable() == cert.to_jsonable()
+    assert not verify_ldlt(q).psd
 
 
 def test_schur_invertible_but_not_pd_leading_block():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -336,6 +337,27 @@ def test_rationalization_failures():
         rationalize_and_verify(prob, {"G": [[1, 2]]}, 10)
     with pytest.raises(RationalizationFailed, match=r"block G entry \(0,0\)"):
         rationalize_and_verify(prob, {"G": [[None]]}, 10)
+    # the lower triangle is not rounded or used, but must hold numbers
+    cert = build_certificate42(2)
+    prob422 = build_sdp(TraceProblem(4, 2, 2), certificate_basis_42(2))
+    floats = {k: [[float(x) for x in row] for row in m.rows]
+              for k, m in (("Q1", cert.q1), ("Q2", cert.q2))}
+    assert rationalize_and_verify(prob422, floats, 10**4).accepted
+    for label, i, j, bad, says in (
+            ("Q1", 1, 0, None, "expected a number, got None"),
+            ("Q2", 3, 0, "not a number", "Invalid literal"),
+            ("Q2", 2, 1, float("nan"), "cannot convert NaN"),
+            ("Q1", 2, 1, True, "expected a number, got True")):
+        sol = copy.deepcopy(floats)
+        sol[label][i][j] = bad
+        with pytest.raises(RationalizationFailed, match=re.escape(
+                f"block {label} entry ({i},{j}): ")) as info:
+            rationalize_and_verify(prob422, sol, 10**4)
+        assert says in str(info.value)
+    # a whole or fraction entry below the diagonal is taken and ignored
+    sol = copy.deepcopy(floats)
+    sol["Q1"][1][0], sol["Q2"][3][0] = 7, "1/3"
+    assert rationalize_and_verify(prob422, sol, 10**4).accepted
     # a bound below 1 is refused before any entry is read, whole or float
     for entry in (1, 1.0):
         assert rationalize_and_verify(prob, {"G": [[entry]]}, 1).accepted
