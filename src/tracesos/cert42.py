@@ -31,10 +31,9 @@ every n once they hold at n = 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .necklace import Necklace, TraceProblem, enumerate_necklaces
 from .poly import Monomial, Polynomial, mono_from_vars, quadratic_form, var
@@ -86,8 +85,7 @@ def z2_vector(n: int, i: int, j: int) -> List[Monomial]:
     return upper + lower
 
 
-@dataclass(frozen=True)
-class Certificate42:
+class Certificate42(NamedTuple):
     n: int
     q1: RationalMatrix
     z1: List[Monomial]
@@ -128,8 +126,7 @@ def q2_kron_factors(n: int) -> Tuple[RationalMatrix, RationalMatrix]:
     return left, right
 
 
-@dataclass(frozen=True)
-class CollectionTag:
+class CollectionTag(NamedTuple):
     """Which collection a (4,2,n)-necklace falls in and the cell counting it.
 
     cell is ("Q1", row_label, col_label) or
@@ -199,15 +196,14 @@ def classify_necklace(k: Necklace) -> CollectionTag:
     return CollectionTag("C4", ("Q2", (j_, i_), "LL", k_, l_))
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     """Per-cell comparison of necklace counts against matrix entries."""
 
     n: int
     total_expected: int
     total_assigned: int
-    counts: Dict[Cell, int] = field(repr=False, default_factory=dict)
-    mismatches: List[Tuple[Cell, Fraction, int]] = field(default_factory=list)
+    counts: Dict[Cell, int]
+    mismatches: Sequence[Tuple[Cell, Fraction, int]] = ()
 
     @property
     def ok(self) -> bool:

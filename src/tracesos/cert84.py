@@ -28,7 +28,7 @@ indices <= n_sub are all read off the labels, so Q3(n) restricted to
 [n_sub] is Q3(n_sub) by construction.
 
 The whole certificate restricts.  Each Gram entry depends only on the
-labels of its two positions, never on n: 70*I, :func:`_q2_entry`, and
+labels of its two positions, never on n: 70*I, :func:`build_q2_84`, and
 :data:`Q3_TABLE` through :func:`_q3_rule`.  Each vector entry carries
 its position's labels, plus the pair (i, j) for z3.  So a square's
 monomial uses at most 4 labels, and the size-n sum of squares, kept to
@@ -37,7 +37,7 @@ increasing map from [|S|] onto S.  The target restricts the same way
 (``necklace``), so the identity at n = 4 gives it for every n.  And
 since Q3(6) is a principal submatrix of Q3(n) for n >= 6, Q3(6) NOT PSD
 makes every such Q3(n) NOT PSD.  Q2 is PSD for every n: an entry of
-:func:`_q2_entry` sees at most 4 labels, so Q2(4) zero across unordered
+:func:`build_q2_84` sees at most 4 labels, so Q2(4) zero across unordered
 pairs and equal to the 3x3 Q2(2) on each pair makes every Q2(n) C(n, 2)
 copies of Q2(2) after a permutation.
 
@@ -63,10 +63,9 @@ Q3(n) on these blocks and lifts a witness of either one to Q3(n).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .golden import load as load_golden
 from .necklace import TraceProblem, check_budget, trace_coeff_necklace
@@ -255,8 +254,7 @@ def q3_blocks(params=None) -> Tuple[Grid, Grid, Grid, Grid]:
             _q3_grid(at3, at3, vals), _q3_grid(at3, at4, vals))
 
 
-@dataclass(frozen=True)
-class Q3Verdict:
+class Q3Verdict(NamedTuple):
     """Q3(n) decided on its blocks (:func:`decide_q3`): PSD with its
     nullity, or NOT PSD with a vector v over the positions of
     ``z3_labels(n, 1, 2)`` and value = v^T Q3(n) v < 0, lifted from a
@@ -318,18 +316,18 @@ def q2_labels(n: int) -> List[Tuple[str, int, int]]:
                for j in range(i + 1, n + 1)])
 
 
-def _q2_entry(u, v) -> int:
-    if u == v:
-        return 20 if u[0] == "o" else 36
-    return 16 if u[0] != v[0] and sorted(u[1:]) == sorted(v[1:]) else 0
-
-
 def build_q2_84(n: int) -> RationalMatrix:
     """20 and 36 on the diagonal, 16 where an "o" and a "u" label name the
-    same pair."""
+    same pair: ("u", i, j) with ("o", i, j) and with ("o", j, i)."""
     labels = q2_labels(n)
-    return RationalMatrix([[_q2_entry(u, v) for v in labels] for u in labels],
-                          row_labels=labels)
+    at = {lab: p for p, lab in enumerate(labels)}
+    rows = [[0] * len(labels) for _ in labels]
+    for p, (s, i, j) in enumerate(labels):
+        rows[p][p] = 20 if s == "o" else 36
+        if s == "u":
+            for q in (at["o", i, j], at["o", j, i]):
+                rows[p][q] = rows[q][p] = 16
+    return RationalMatrix(rows, row_labels=labels)
 
 
 def build_z2_84(n: int) -> List[Monomial]:
@@ -351,8 +349,7 @@ class LinearForm(dict):
         return " + ".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class Certificate84:
+class Certificate84(NamedTuple):
     n: int
     q1: RationalMatrix
     z1: List[Monomial]
@@ -455,8 +452,7 @@ def _eliminate(form, row, k: int) -> Dict[int, Fraction]:
             if (c := form.get(v, 0) - f * row.get(v, 0))}
 
 
-@dataclass(frozen=True)
-class ParamSystem:
+class ParamSystem(NamedTuple):
     """A set of integer-canonical affine equations in x1..x22; rank,
     equivalence and implication all read one elimination, _pivot_rows."""
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import os
 import random
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple, Sequence
 
 from . import cert42, cert84, golden, necklace, poly, psdcert, sdpio
 from .necklace import TraceProblem
@@ -26,12 +25,11 @@ _SIZES_42 = range(1, TraceProblem(4, 2, 1).arc_count + 1)
 _SIZES_84 = range(1, TraceProblem(8, 4, 1, diagonal_a=True).arc_count + 1)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
-    notes: List[str] = field(default_factory=list)
+    notes: Sequence[str] = ()
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -335,12 +333,16 @@ def check_sdp_roundtrip() -> CheckResult:
                        else f"failures: {problems}")
 
 
+_RANDOM_VARS = {(k, i, j): poly.var(k, i, j)
+                for k in "ab" for i in (1, 2, 3) for j in (1, 2, 3)}
+
+
 def _random_poly(rng: random.Random) -> poly.Polynomial:
     terms = {}
     for _ in range(rng.randint(0, 4)):
         deg = rng.randint(0, 8)
-        vs = [poly.var(rng.choice("ab"), rng.randint(1, 3), rng.randint(1, 3))
-              for _ in range(deg)]
+        vs = [_RANDOM_VARS[rng.choice("ab"), rng.randint(1, 3),
+                           rng.randint(1, 3)] for _ in range(deg)]
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         mono = poly.mono_from_vars(vs)
         terms[mono] = terms.get(mono, 0) + coeff
@@ -357,9 +359,10 @@ def check_properties() -> CheckResult:
         p, q, r = (_random_poly(rng) for _ in range(3))
         if p + q != q + p:
             problems.append("commutativity")
-        if (p * q) * r != p * (q * r):
+        pq = p * q
+        if pq * r != p * (q * r):
             problems.append("associativity")
-        if p * (q + r) != p * q + p * r:
+        if p * (q + r) != pq + p * r:
             problems.append("distributivity")
         ran += 3
     base = necklace.trace_coeff_necklace(TraceProblem(4, 2, 3))

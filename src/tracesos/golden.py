@@ -10,16 +10,19 @@ by ``checks.compare_golden`` (the ``reproduce`` table and the checks).
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
-from importlib import resources
+
+# beside this file, as package data (importlib.resources loads inspect on
+# Python 3.12 and later)
+_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @lru_cache(maxsize=None)
 def load(name: str):
-    path = resources.files("tracesos").joinpath("golden").joinpath(f"{name}.json")
-    return json.loads(path.read_text())
+    with open(os.path.join(_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def available() -> list:
-    base = resources.files("tracesos").joinpath("golden")
-    return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
+    return sorted(f[:-5] for f in os.listdir(_DIR) if f.endswith(".json"))

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, gcd
 from operator import itemgetter
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
@@ -66,22 +65,30 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class TraceProblem:
-    """Parameters (m, r, n) of one trace-power coefficient."""
-
+class _TraceFields(NamedTuple):
     m: int
     r: int
     n: int
     diagonal_a: bool = False
 
-    def __post_init__(self):
-        if self.m <= 0 or self.m % 2 != 0:
-            raise ValueError(f"m must be a positive even integer, got {self.m}")
-        if self.r % 2 != 0 or not 0 <= self.r <= self.m:
-            raise ValueError(f"r must be even with 0 <= r <= m, got {self.r}")
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+
+class TraceProblem(_TraceFields):
+    """Parameters (m, r, n) of one trace-power coefficient."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, r: int, n: int, diagonal_a: bool = False):
+        if m <= 0 or m % 2 != 0:
+            raise ValueError(f"m must be a positive even integer, got {m}")
+        if r % 2 != 0 or not 0 <= r <= m:
+            raise ValueError(f"r must be even with 0 <= r <= m, got {r}")
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        return super().__new__(cls, m, r, n, diagonal_a)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace refuses as the constructor does
+        return cls(*iterable)
 
     @property
     def arc_count(self) -> int:

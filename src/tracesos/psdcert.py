@@ -27,10 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import read_number
 
@@ -215,14 +214,13 @@ def charpoly(q: RationalMatrix) -> List[Fraction]:
     return [Fraction(c, den ** i) for i, c in enumerate(p)]
 
 
-@dataclass
-class PsdCertificate:
+class PsdCertificate(NamedTuple):
     """Outcome of one PSD verification, with replayable witness data."""
 
     method: str
     psd: bool
     matrix_hash: str
-    witness: dict = field(default_factory=dict)
+    witness: dict
     nullity: Optional[int] = None
 
     def to_jsonable(self):

@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -44,8 +43,7 @@ def _upper(d: int):
     return itertools.combinations_with_replacement(range(d), 2)
 
 
-@dataclass(frozen=True)
-class BasisBlock:
+class BasisBlock(NamedTuple):
     """One Gram block, shared by every vector of its family.  On the
     upper triangle of ``grid`` a number pins its entry and a name
     ("x1".."x22") ties the entry to every other entry of that name;
@@ -64,14 +62,15 @@ class BasisBlock:
         return [((u, v), self.grid[u][v]) for u, v in _upper(len(self.grid))]
 
 
-@dataclass(frozen=True)
-class BasisSpec:
+class _BasisFields(NamedTuple):
     blocks: Tuple[BasisBlock, ...]
 
+
+class BasisSpec(_BasisFields):
     def content_hash(self) -> str:
         return self._hash
 
-    @cached_property  # once per basis object: it is frozen
+    @cached_property  # once per basis object, in its __dict__: no __slots__
     def _hash(self) -> str:
         payload = []
         for b in self.blocks:
@@ -210,8 +209,7 @@ class Constraint(NamedTuple):
     rhs: Scalar
 
 
-@dataclass(frozen=True)
-class SdpProblem:
+class SdpProblem(NamedTuple):
     m: int
     r: int
     n: int
@@ -401,14 +399,13 @@ def import_sdpa(path: str) -> SdpProblem:
         basis_hash=meta.get("basis_hash", ""))
 
 
-@dataclass
-class SolutionReport:
+class SolutionReport(NamedTuple):
     """Outcome of exact re-verification of a candidate solution."""
 
     accepted: bool
-    blocks: Dict[str, RationalMatrix] = field(default_factory=dict)
-    psd_certs: Dict[str, PsdCertificate] = field(default_factory=dict)
-    violations: List[Tuple[str, Fraction, Scalar]] = field(default_factory=list)
+    blocks: Dict[str, RationalMatrix]
+    psd_certs: Dict[str, PsdCertificate]
+    violations: Sequence[Tuple[str, Fraction, Scalar]] = ()
     reason: str = ""
 
 
@@ -480,28 +477,27 @@ def rationalize_and_verify(prob: SdpProblem,
                 rows[i][j] = rows[j][i] = (_nearest(f, denominator_bound)
                                            if isinstance(x, float) else f)
         blocks.append(RationalMatrix(rows))
-    report = SolutionReport(accepted=False,
-                            blocks=dict(zip(labels, blocks)))
+    named = dict(zip(labels, blocks))
     # each constraint on integer rows: N = L * blocks, L one common denominator
     rows, den = _integer_rows([row for mat in blocks for row in mat.rows])
     starts = itertools.accumulate((dim for _, dim in prob.blocks), initial=0)
     ints = [rows[at:] for at in starts]
+    violations = []
     for con in prob.constraints:
         got = sum(c * ints[b][u][v] for (b, u, v), c in con.lhs)
         if got != con.rhs * den:
-            report.violations.append((con.name, Fraction(got, den), con.rhs))
-    if report.violations:
-        report.reason = (f"{len(report.violations)} violated constraints, "
-                         f"first: {report.violations[0][0]}")
-        return report
+            violations.append((con.name, Fraction(got, den), con.rhs))
+    if violations:
+        return SolutionReport(False, named, {}, violations,
+                              f"{len(violations)} violated constraints, "
+                              f"first: {violations[0][0]}")
+    certs: Dict[str, PsdCertificate] = {}
     for label, mat in zip(labels, blocks):
-        cert = verify_charpoly_signs(mat)
-        report.psd_certs[label] = cert
+        certs[label] = cert = verify_charpoly_signs(mat)
         if not cert.psd:
-            report.reason = f"block {label} is not PSD"
-            return report
-    report.accepted = True
-    return report
+            return SolutionReport(False, named, certs, violations,
+                                  f"block {label} is not PSD")
+    return SolutionReport(True, named, certs, violations)
 
 
 def reduce_to_parameters(prob: SdpProblem,

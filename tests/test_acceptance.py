@@ -122,7 +122,7 @@ def test_identity_checks_catch_a_defect_first_seen_at_n4(monkeypatch):
     from tracesos import cert42, cert84
     from tracesos.psdcert import RationalMatrix
 
-    build_q1, q2_entry = cert42.build_q1, cert84._q2_entry
+    build_q1, build_q2 = cert42.build_q1, cert84.build_q2_84
     before = {n: (build_q1(n), cert84.build_q2_84(n)) for n in range(1, 4)}
 
     def q1_plus_one_between_disjoint_pairs(n):
@@ -133,11 +133,14 @@ def test_identity_checks_catch_a_defect_first_seen_at_n4(monkeypatch):
               for y, q in zip(labels, row)]
              for x, row in zip(labels, q1.rows)], row_labels=labels)
 
-    def q2_plus_one_between_disjoint_pairs(u, v):
-        return q2_entry(u, v) + (not set(u[1:]) & set(v[1:]))
+    def q2_plus_one_between_disjoint_pairs(n):
+        labels = cert84.q2_labels(n)
+        return RationalMatrix(
+            [[q + (not set(x[1:]) & set(y[1:])) for y, q in zip(labels, row)]
+             for x, row in zip(labels, build_q2(n).rows)], row_labels=labels)
 
     monkeypatch.setattr(cert42, "build_q1", q1_plus_one_between_disjoint_pairs)
-    monkeypatch.setattr(cert84, "_q2_entry", q2_plus_one_between_disjoint_pairs)
+    monkeypatch.setattr(cert84, "build_q2_84", q2_plus_one_between_disjoint_pairs)
     # published (3, 6) reads x13 = 2 at different k; x14 = 8
     monkeypatch.setitem(cert84.Q3_TABLE, (3, 6), ("k", "x15", "x14"))
     assert before == {n: (cert42.build_q1(n), cert84.build_q2_84(n))

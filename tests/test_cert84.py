@@ -24,6 +24,7 @@ from tracesos.cert84 import (
     derive_param_system,
     equation_str,
     published_params,
+    q2_labels,
     q3_blocks,
     q3_grid,
     z3_block_sizes,
@@ -74,6 +75,22 @@ def test_z2_and_q2_match_published_n5():
         golden.load("q2_n5_84")["rows"]
     assert mono_str(cert.z2[0]) == "a[1,1]^2*b[1,2]^2"
     assert len(cert.z2) == 5 * 4 + 10
+
+
+def test_q2_from_its_pairs_is_the_entry_rule():
+    # the rule Q2 was built from, one call per entry
+    def entry(u, v):
+        if u == v:
+            return 20 if u[0] == "o" else 36
+        return 16 if u[0] != v[0] and sorted(u[1:]) == sorted(v[1:]) else 0
+
+    for n in range(1, 10):
+        labels = q2_labels(n)
+        want = RationalMatrix([[entry(u, v) for v in labels] for u in labels],
+                              row_labels=labels)
+        got = build_q2_84(n)
+        assert (got.rows, got.row_labels, got.col_labels) == \
+            (want.rows, want.row_labels, want.col_labels), n
 
 
 def test_q3_matches_published_n5():

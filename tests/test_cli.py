@@ -119,6 +119,18 @@ def test_runtime_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, (path.name, name)
 
 
+def test_cli_starts_without_dataclasses():
+    # every command pays its start-up imports; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize.  -S keeps site's imports out.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import tracesos.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))", src],
+        capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_psd_certificate_bytes_are_pinned(tmp_path, capsys):
     # size and SHA-256 of certificates written while the Gram route still
     # formed scale * U^T U as a matrix

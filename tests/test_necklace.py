@@ -43,6 +43,8 @@ def test_problem_validation():
         TraceProblem(4, 6, 1)
     with pytest.raises(ValueError):
         TraceProblem(4, 2, 0)
+    with pytest.raises(ValueError, match="r must be even"):
+        TraceProblem(4, 2, 1)._replace(r=3)
 
 
 def test_enumeration_counts():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracesos import checks
 from tracesos.poly import (
     MONO_ONE,
     Polynomial,
@@ -250,6 +251,25 @@ def test_multiplication_associates(p, q, r):
 @given(polynomials(max_deg=4), polynomials(max_deg=4), polynomials(max_deg=4))
 def test_distributivity(p, q, r):
     assert p * (q + r) == p * q + p * r
+
+
+def test_property_suite_draws_the_same_polynomials():
+    # the generator check_properties used with one poly.var call per draw
+    def reference(rng):
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            deg = rng.randint(0, 8)
+            vs = [var(rng.choice("ab"), rng.randint(1, 3), rng.randint(1, 3))
+                  for _ in range(deg)]
+            coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            mono = mono_from_vars(vs)
+            terms[mono] = terms.get(mono, 0) + coeff
+        return Polynomial(terms)
+
+    rng, ref = random.Random(0x5305), random.Random(0x5305)
+    for case in range(1002):
+        assert checks._random_poly(rng) == reference(ref), case
+    assert rng.getstate() == ref.getstate()
 
 
 def quadratic_form_per_pair(grid, z):

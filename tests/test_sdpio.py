@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import json
 import os
@@ -304,7 +303,7 @@ def test_certificate_basis_grids_are_the_symbolic_certificate():
     q1 = basis.blocks[0]
     rows = [list(row) for row in q1.grid]
     rows[0][0] += 1
-    basis = BasisSpec((dataclasses.replace(q1, grid=rows),) + basis.blocks[1:])
+    basis = BasisSpec((q1._replace(grid=rows),) + basis.blocks[1:])
     prob = build_sdp(TraceProblem(8, 4, 3, diagonal_a=True), basis)
     with pytest.raises(InconsistentSystem) as err:
         reduce_to_parameters(prob, basis)
