@@ -96,6 +96,16 @@ class Certificate42(NamedTuple):
         return self.q1.entry_sum() + comb(self.n, 2) * self.q2.entry_sum()
 
 
+def entry_count(n: int) -> int:
+    """The entries of the matrices and vectors of build_certificate42(n):
+    Q1 and z1 over the n + C(n, 2) index sets, the 2n-square Q2 and one z2
+    of length 2n per pair i < j; 0 for an n < 1, which the builder refuses."""
+    if n < 1:
+        return 0
+    size = n + comb(n, 2)
+    return size * size + size + 4 * n * n + comb(n, 2) * 2 * n
+
+
 def build_certificate42(n: int) -> Certificate42:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

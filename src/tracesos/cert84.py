@@ -80,7 +80,7 @@ from .poly import (
     quadratic_form,
     var,
 )
-from .psdcert import RationalMatrix, entry_total, verify_ldlt
+from .psdcert import RationalMatrix, SharedFractions, entry_total, verify_ldlt
 
 SYMBOLIC = "symbolic"
 
@@ -198,11 +198,12 @@ def z3_restriction_indices(n: int, n_sub: int) -> List[int]:
 
 
 def z3_vector(n: int, i: int, j: int) -> List[Monomial]:
+    a = {p: var("a", p, p) for p in range(1, n + 1)}
     out = []
     for block, side, k in z3_labels(n, i, j):
         at = {"i": i, "j": j, "k": k, "s": i if side == "i" else j}
-        p, q = (at[c] for c in Z3_A_PART[block])
-        out.append(mono_from_vars([var("a", p, p), var("a", q, q),
+        p, q = Z3_A_PART[block]
+        out.append(mono_from_vars([a[at[p]], a[at[q]],
                                    var("b", i, k), var("b", j, k)]))
     return out
 
@@ -218,13 +219,36 @@ def _q3_rule(u: Z3Label, v: Z3Label):
 
 def _q3_grid(rows, cols, vals) -> Grid:
     """The Q3 entries between two label lists: Fractions, or the table's
-    names "x1".."x22" where x1..x22 stand when ``vals`` is None."""
+    names "x1".."x22" where x1..x22 stand when ``vals`` is None.
+
+    A rule sees only the blocks and sides of its two labels and whether
+    they share k, so it is resolved once per such class and its value
+    shared, one Fraction per int rule.  Each row starts as its class's
+    entries at a k other than its own, and the columns at its own k are
+    then set to their same-k entries."""
+    fractions = SharedFractions()
+
     def value(rule) -> Entry:
         if isinstance(rule, int):
-            return Fraction(rule)
+            return fractions[rule]
         return rule if vals is None else vals[int(rule[1:])]
 
-    return tuple(tuple(value(_q3_rule(u, v)) for v in cols) for u in rows)
+    row_classes = {u[:2] for u in rows}
+    # a class pair's rule, read at k = 0 against k = 0 (same) or 1 (other)
+    entry = {(c, d, same): value(_q3_rule(c + (0,), d + (1 - same,)))
+             for c in row_classes for d in {v[:2] for v in cols}
+             for same in (True, False)}
+    at_k: Dict[int, List[int]] = {}
+    for p, (_, _, k) in enumerate(cols):
+        at_k.setdefault(k, []).append(p)
+    base = {c: [entry[c, v[:2], False] for v in cols] for c in row_classes}
+    grid = []
+    for b, s, k in rows:
+        row = base[b, s].copy()
+        for p in at_k.get(k, ()):
+            row[p] = entry[(b, s), cols[p][:2], True]
+        grid.append(tuple(row))
+    return tuple(grid)
 
 
 def q3_grid(n: int, params=None) -> Grid:
@@ -382,6 +406,17 @@ class Certificate84(NamedTuple):
                            + pairs * entry_total(known)})
         form.update((k, pairs * c) for k, c in named.items())
         return form if self.symbolic else form[0]
+
+
+def entry_count(n: int) -> int:
+    """The entries of the matrices and vectors of build_certificate84(n):
+    Q1 and z1 over [n], Q2 and z2 over the n(n-1) + C(n, 2) labels of
+    :func:`q2_labels`, the (6n-6)-square Q3 and one z3 of length 6n - 6
+    per pair i < j; 0 for an n < 1, which the builder refuses."""
+    if n < 1:
+        return 0
+    q2, q3 = n * (n - 1) + comb(n, 2), 6 * n - 6
+    return n * n + n + q2 * q2 + q2 + q3 * q3 + comb(n, 2) * q3
 
 
 def build_certificate84(n: int, params=None) -> Certificate84:

@@ -52,7 +52,15 @@ def cmd_coeff(args) -> int:
     return 0
 
 
+def _check_entries(count: int, budget: int) -> None:
+    """Refuse a certificate of more than ``budget`` entries before any of
+    it is built."""
+    if count > budget:
+        raise BudgetExceeded(count, budget, "certificate", "entries")
+
+
 def cmd_cert42(args) -> int:
+    _check_entries(cert42.entry_count(args.n), args.budget)
     cert = cert42.build_certificate42(args.n)
     payload = {
         "n": args.n,
@@ -85,6 +93,7 @@ def cmd_audit42(args) -> int:
 
 
 def cmd_cert84(args) -> int:
+    _check_entries(cert84.entry_count(args.n), args.budget)
     if args.params == "published":
         params = None
     elif args.params == "symbolic":
@@ -233,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certificates for trace-power coefficients")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget(p):
+    def add_budget(p, unit="enumeration visits"):
         p.add_argument("--budget", type=int, default=necklace.DEFAULT_BUDGET,
-                       help="max enumeration visits (default 1e8)")
+                       help=f"max {unit} (default 1e8)")
 
     p = sub.add_parser("coeff", help="compute one coefficient polynomial")
     p.add_argument("--m", type=int, required=True)
@@ -251,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cert42", help="build the degree-4 certificate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit", help="write matrices and vectors to this file")
+    add_budget(p, "certificate entries")
     p.set_defaults(func=cmd_cert42)
 
     p = sub.add_parser("audit42", help="replay the necklace accounting")
@@ -268,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default="published",
                    help="'published', 'symbolic', or a JSON file of x values")
     p.add_argument("--emit", help="write the Q3 matrix to this file")
+    add_budget(p, "certificate entries")
     p.set_defaults(func=cmd_cert84)
 
     p = sub.add_parser("paramsys", help="re-derive the parameter constraints")

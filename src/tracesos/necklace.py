@@ -57,10 +57,12 @@ DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceeded(RuntimeError):
-    """Planned enumeration work exceeds the configured budget."""
+    """Planned work exceeds the configured budget: enumeration visits, or
+    the entries of a certificate."""
 
-    def __init__(self, planned: int, budget: int):
-        super().__init__(f"enumeration needs {planned} visits, budget is {budget}")
+    def __init__(self, planned: int, budget: int, work: str = "enumeration",
+                 unit: str = "visits"):
+        super().__init__(f"{work} needs {planned} {unit}, budget is {budget}")
         self.planned = planned
         self.budget = budget
 

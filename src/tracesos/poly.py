@@ -302,20 +302,31 @@ def quadratic_form(blocks) -> Polynomial:
     A grid is any 2D-indexable of rational entries, assumed symmetric
     (off-diagonal entries count twice), and z a list of monomials as long
     as the grid.  Each grid object's weights (u, v, q or 2q) are listed once
-    per call, a whole number as an int, and shared by every block passing
-    that object; each weight goes straight into one term map at the
-    product of its two monomials.
+    per call and shared by every block passing that object.  A weight is
+    made once per entry object, a whole number as an int, so a grid whose
+    equal entries are one object (a ``RationalMatrix``, a Q3 grid) pays
+    once per distinct value.  Each weight goes straight into one term map
+    at the product of its two monomials.
     """
     weights: Dict[int, tuple] = {}  # id -> (grid, weights); holding grid pins id
     acc: Dict[Monomial, Scalar] = {}
     for grid, z in blocks:
         if id(grid) not in weights:
-            weights[id(grid)] = (grid, [
-                (u, v, _whole(grid[u][v] if u == v else 2 * grid[u][v]))
-                for u in range(len(z)) for v in range(u, len(z))
-                if grid[u][v]])
+            made: Dict[tuple, tuple] = {}  # (id, diagonal) -> (entry, weight)
+            listed = []
+            for u in range(len(z)):
+                row = grid[u]
+                for v in range(u, len(z)):
+                    q = row[v]
+                    key = (id(q), u == v)
+                    if key not in made:  # holding q pins its id
+                        made[key] = (q, _whole(q if u == v else 2 * q) or None)
+                    w = made[key][1]
+                    if w is not None:
+                        listed.append((u, v, w))
+            weights[id(grid)] = (grid, listed)
         for u, v, w in weights[id(grid)][1]:
-            m = mono_mul(z[u], z[v])
+            m = tuple(sorted(z[u] + z[v]))
             old = acc.get(m)
             acc[m] = w if old is None else old + w
     return Polynomial(acc)

@@ -46,13 +46,27 @@ class SingularLeadingBlock(ValueError):
     """The leading block of a Schur split has a zero pivot in index order."""
 
 
+class SharedFractions(dict):
+    """Fraction(x) made once per distinct key x and then shared: equal
+    keys (1, 1.0, True) are equal numbers, so each gets the same value."""
+
+    def __missing__(self, x):
+        f = self[x] = Fraction(x)
+        return f
+
+
 class RationalMatrix:
-    """Dense matrix of exact rationals with optional index labels."""
+    """Dense matrix of exact rationals with optional index labels.
+
+    Every entry is a Fraction, never an int, so elimination by ``/`` stays
+    exact.  Entries given as other numbers or strings are converted once
+    per distinct input, and equal inputs share one Fraction object."""
 
     __slots__ = ("rows", "row_labels", "col_labels")
 
     def __init__(self, rows, row_labels=None, col_labels=None):
-        self.rows = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+        shared = SharedFractions()
+        self.rows = tuple(tuple(x if type(x) is Fraction else shared[x]
                                 for x in row) for row in rows)
         if self.rows:
             width = len(self.rows[0])

@@ -9,6 +9,7 @@ from tracesos.cert42 import (
     build_certificate42,
     build_q1_gram_factor,
     classify_necklace,
+    entry_count,
     index_sets,
     q2_kron_factors,
     z2_vector,
@@ -30,6 +31,15 @@ def test_q1_entries_are_intersection_counts():
     for i, x in enumerate(labels):
         for j, y in enumerate(labels):
             assert cert.q1[i][j] == 6 * len(set(x) & set(y))
+
+
+def test_entry_count_is_the_certificate_size():
+    for n in range(1, 8):
+        c = build_certificate42(n)
+        vectors = [c.z1, *c.z2_family.values()]
+        assert entry_count(n) == (len(c.q1.rows) ** 2 + len(c.q2.rows) ** 2
+                                  + sum(map(len, vectors))), n
+    assert entry_count(0) == entry_count(-3) == 0
 
 
 def test_n1_certificate():

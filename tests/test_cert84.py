@@ -22,6 +22,7 @@ from tracesos.cert84 import (
     coefficient_match_equations,
     decide_q3,
     derive_param_system,
+    entry_count,
     equation_str,
     published_params,
     q2_labels,
@@ -91,6 +92,65 @@ def test_q2_from_its_pairs_is_the_entry_rule():
         got = build_q2_84(n)
         assert (got.rows, got.row_labels, got.col_labels) == \
             (want.rows, want.row_labels, want.col_labels), n
+
+
+def _z3_vector_per_label(n, i, j):
+    """The z3 constructor that looked up four variables per label."""
+    out = []
+    for block, side, k in z3_labels(n, i, j):
+        at = {"i": i, "j": j, "k": k, "s": i if side == "i" else j}
+        p, q = (at[c] for c in cert84.Z3_A_PART[block])
+        out.append(mono_from_vars([var("a", p, p), var("a", q, q),
+                                   var("b", i, k), var("b", j, k)]))
+    return out
+
+
+def test_entry_count_is_the_certificate_size():
+    for n in range(1, 8):
+        c = build_certificate84(n)
+        vectors = [c.z1, c.z2, *c.z3_family.values()]
+        assert entry_count(n) == (len(c.q1.rows) ** 2 + len(c.q2.rows) ** 2
+                                  + len(c.q3) ** 2 + sum(map(len, vectors))), n
+    assert entry_count(0) == entry_count(-3) == 0
+
+
+def test_z3_vector_is_the_per_label_constructor():
+    for n in range(2, 10):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert z3_vector(n, i, j) == _z3_vector_per_label(n, i, j)
+
+
+def _q3_grid_per_entry(n, vals):
+    """Q3 with the table rule walked for every entry, one Fraction each."""
+    labels = z3_labels(n, 1, 2)
+
+    def value(rule):
+        if isinstance(rule, int):
+            return Fraction(rule)
+        return rule if vals is None else vals[int(rule[1:])]
+
+    return tuple(tuple(value(cert84._q3_rule(u, v)) for v in labels)
+                 for u in labels)
+
+
+def test_q3_resolved_per_label_class_is_the_per_entry_walk():
+    points = [(None, published_params()), (SYMBOLIC, None)]
+    points += [(x, x) for x in _match_points()[1:3]]
+    rules = {x for rule in cert84.Q3_TABLE.values() for x in _leaves(rule)}
+    for n in range(2, 10):
+        for params, vals in points:
+            grid = q3_grid(n, params)
+            assert grid == _q3_grid_per_entry(n, vals), (n, params)
+            assert all(type(x) in (Fraction, str) for row in grid for x in row)
+            # one object per rule: an int rule's Fraction is shared
+            assert len({id(x) for row in grid for x in row}) <= len(rules)
+
+
+def _leaves(rule):
+    if not isinstance(rule, tuple):
+        return [rule]
+    return _leaves(rule[1]) + _leaves(rule[2])
 
 
 def test_q3_matches_published_n5():

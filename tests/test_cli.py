@@ -359,6 +359,39 @@ def test_budget_refuses_before_a_basis_or_certificate_is_built(
         cert84.derive_param_system(100, budget=10**8)
 
 
+def test_cert_budget_refuses_before_a_certificate_is_built(
+        tmp_path, capsys, monkeypatch):
+    from tracesos import cert42, cert84
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the budget was checked")
+
+    for name in ("build_certificate42", "build_q1", "build_q2"):
+        monkeypatch.setattr(cert42, name, refuse)
+    for name in ("build_certificate84", "build_q2_84", "q3_grid"):
+        monkeypatch.setattr(cert84, name, refuse)
+    out = str(tmp_path / "c.json")
+    # cert42: (n + C(n,2))^2 + (n + C(n,2)) + (2n)^2 + C(n,2)*2n; cert84:
+    # n^2 + n + s^2 + s + (6n-6)^2 + C(n,2)*(6n-6), s = n(n-1) + C(n,2)
+    for argv, count in [
+            (("cert42", "--n", "400", "--emit", out), 6496600200),
+            (("cert84", "--n", "200", "--emit", out), 3589376136),
+            (("cert42", "--n", "5", "--budget", "439"), 440),
+            (("cert84", "--n", "5", "--budget", "1000", "--params",
+              str(tmp_path / "absent.json")), 1776)]:
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "", argv
+        budget = int(argv[argv.index("--budget") + 1]) if "--budget" in argv \
+            else 10**8
+        assert err == (f"error: certificate needs {count} entries, "
+                       f"budget is {budget}\n"), argv
+    assert not os.path.exists(out)
+    monkeypatch.undo()
+    for argv in (("cert42", "--n", "5", "--budget", "440"),
+                 ("cert84", "--n", "5", "--budget", "1776")):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
 def test_python_m_tracesos(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

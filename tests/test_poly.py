@@ -18,6 +18,7 @@ from tracesos.poly import (
     parse_monomial,
     quadratic_form,
     relabel,
+    sum_of_products,
     swap_ab,
     var,
     var_parts,
@@ -356,3 +357,60 @@ def test_quadratic_form_edge_blocks():
     # weights of opposite sign at one monomial cancel out of the result
     cancel = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
     assert quadratic_form([(cancel, [x, x])]) == Polynomial.zero()
+
+
+def _squares(grid, z):
+    """z^T M z with every ordered pair (u, v) its own product, for
+    sum_of_products."""
+    return [(Polynomial.monomial(z[u], grid[u][v]), Polynomial.monomial(z[v]))
+            for u in range(len(z)) for v in range(len(z)) if grid[u][v]]
+
+
+def test_quadratic_form_is_the_sum_of_squares_of_both_certificates():
+    from tracesos.cert42 import build_certificate42
+    from tracesos.cert84 import build_certificate84
+
+    for n in range(1, 5):
+        c42, c84 = build_certificate42(n), build_certificate84(n)
+        blocks = ([(c42.q1.rows, c42.z1)]
+                  + [(c42.q2.rows, z) for z in c42.z2_family.values()],
+                  [(c84.q1.rows, c84.z1), (c84.q2.rows, c84.z2)]
+                  + [(c84.q3, z) for z in c84.z3_family.values()])
+        for block_list in blocks:
+            assert quadratic_form(block_list) == sum_of_products(
+                pair for grid, z in block_list for pair in _squares(grid, z)), n
+
+
+class FreshGrid:
+    """A grid that makes new entry objects on every read, so the id of a
+    dropped entry can come back on another value."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, u):
+        return [Fraction(x.numerator, x.denominator) for x in self.rows[u]]
+
+
+def test_quadratic_form_drops_a_cancelled_coefficient():
+    x, y = (var("a", 1, 2),), (var("b", 1, 1),)
+    # x^2 gets 1 - 2*1 + 1 = 0, each of one and minus one object at two entries
+    one, minus = Fraction(1), Fraction(-1)
+    grid = [[one, minus, Fraction(3)], [minus, one, Fraction(1, 2)],
+            [Fraction(3), Fraction(1, 2), Fraction(0)]]
+    p = quadratic_form([(grid, [x, x, y])])
+    assert p.terms == {mono_mul(x, y): 7}
+    assert quadratic_form([(FreshGrid(grid), [x, x, y])]).terms == p.terms
+
+
+def test_quadratic_form_on_a_grid_of_fresh_entries():
+    # a distinct value at every entry of the upper triangle, whole or not:
+    # a weight listed by the id of an entry that was since dropped would
+    # land on another entry's product
+    z = [(var("a", 1, k),) for k in range(1, 17)]
+    for den in (1, 7):
+        fresh = [[Fraction(100 * min(u, v) + max(u, v) + 1, den)
+                  for v in range(16)] for u in range(16)]
+        assert (quadratic_form([(FreshGrid(fresh), z)])
+                == quadratic_form([(fresh, z)])
+                == quadratic_form_reference([(fresh, z)])), den

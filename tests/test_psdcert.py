@@ -41,6 +41,44 @@ def test_matrix_basics():
     assert RationalMatrix.from_jsonable(json.loads(blob)) == m
 
 
+def test_entries_are_shared_fractions():
+    half = Fraction(1, 2)
+    raw = [[1, 1.0, True, "1", 7], [7, "1/2", 0.5, half, "1/2"],
+           [2**70, 2**70, -0.25, "-1/4", 0]]
+    m = RationalMatrix(raw)
+    for row, given in zip(m.rows, raw):
+        for x, g in zip(row, given):
+            assert type(x) is Fraction and x == Fraction(g), g
+    assert m[1][3] is half  # a Fraction is kept as given
+    # equal non-Fraction inputs (1, 1.0 and True are equal keys) share one
+    # object; an equal input of another kind ("1") gets its own
+    for same in ([(0, 0), (0, 1), (0, 2)], [(0, 4), (1, 0)], [(1, 1), (1, 4)],
+                 [(2, 0), (2, 1)]):
+        assert len({id(m[i][j]) for i, j in same}) == 1, same
+    assert m[0][3] is not m[0][0] and m[1][2] is not half
+    assert all(type(x) is Fraction for row in m.rows for x in row)
+
+
+def test_int_rows_give_the_witnesses_of_per_entry_fractions():
+    rng = random.Random(35)
+    mats = [build_q2_84(3).rows, [[4, 2, 2], [2, 2, 1], [2, 1, 3]],
+            [[1, 3], [3, 1]], [[0, 0, 0], [0, 1, 1], [0, 1, 1]]]
+    for _ in range(20):
+        d = rng.randint(1, 6)
+        u = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        gram = [[sum(a * b for a, b in zip(r, c)) for c in u] for r in u]
+        mats.append([[x - rng.randint(0, 2) * (i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(gram)])
+    for rows in mats:
+        ints = [[int(x) for x in row] for row in rows]
+        shared = RationalMatrix(ints)
+        fresh = RationalMatrix([[Fraction(x) for x in row] for row in ints])
+        assert verify_ldlt(shared).to_jsonable() == verify_ldlt(fresh).to_jsonable()
+        assert charpoly(shared) == charpoly(fresh)
+        assert (verify_charpoly_signs(shared).to_jsonable()
+                == verify_charpoly_signs(fresh).to_jsonable())
+
+
 def test_charpoly_identity_2x2():
     coeffs = charpoly(RationalMatrix([[1, 0], [0, 1]]))
     assert coeffs == [1, -2, 1]
