@@ -42,13 +42,14 @@ pairs and equal to the 3x3 Q2(2) on each pair makes every Q2(n) C(n, 2)
 copies of Q2(2) after a permutation.
 
 Q3 also splits by symmetry.  A rule of :data:`Q3_TABLE` sees only the
-blocks and sides of its two labels and whether they share k, so Q3(n)
-commutes with every permutation of the indices k outside {i, j}.  Its
-positions are six fixed ones, those with k in {i, j}
-(:data:`Q3_FIXED`), and the six k-classes (:data:`Q3_CLASSES`) at each
-of the n - 2 other k, both read off :func:`z3_labels` in its order.
-Four 6x6 grids give every entry (:func:`q3_blocks`): F fixed x fixed,
-G fixed x class, A class x class at one k, B at two different k.  With
+blocks and sides of its two labels and whether they share k.  Q3's
+positions are six fixed ones, those with k in {i, j} (:data:`Q3_FIXED`),
+and the six k-classes (:data:`Q3_CLASSES`) at each of the n - 2 other k,
+both read off :func:`z3_labels` in its order.  So four 6x6 grids read
+off the table (:func:`q3_blocks`) are all of Q3: F fixed x fixed, G
+fixed x class, A class x class at one k, B at two different k.
+:func:`q3_grid` builds Q3(n) by placing them, so Q3(n) commutes with
+every permutation of the indices k outside {i, j} by construction.  With
 m = n - 2 the class part is I(x)(A - B) + J(x)B, so on the class
 vectors that sum to zero over k, Q3(n) is m - 1 copies of S = A - B,
 and on the rest it is congruent to M(1/m) = [[F, G], [G^T, B + S/m]]
@@ -217,50 +218,6 @@ def _q3_rule(u: Z3Label, v: Z3Label):
     return rule
 
 
-def _q3_grid(rows, cols, vals) -> Grid:
-    """The Q3 entries between two label lists: Fractions, or the table's
-    names "x1".."x22" where x1..x22 stand when ``vals`` is None.
-
-    A rule sees only the blocks and sides of its two labels and whether
-    they share k, so it is resolved once per such class and its value
-    shared, one Fraction per int rule.  Each row starts as its class's
-    entries at a k other than its own, and the columns at its own k are
-    then set to their same-k entries."""
-    fractions = SharedFractions()
-
-    def value(rule) -> Entry:
-        if isinstance(rule, int):
-            return fractions[rule]
-        return rule if vals is None else vals[int(rule[1:])]
-
-    row_classes = {u[:2] for u in rows}
-    # a class pair's rule, read at k = 0 against k = 0 (same) or 1 (other)
-    entry = {(c, d, same): value(_q3_rule(c + (0,), d + (1 - same,)))
-             for c in row_classes for d in {v[:2] for v in cols}
-             for same in (True, False)}
-    at_k: Dict[int, List[int]] = {}
-    for p, (_, _, k) in enumerate(cols):
-        at_k.setdefault(k, []).append(p)
-    base = {c: [entry[c, v[:2], False] for v in cols] for c in row_classes}
-    grid = []
-    for b, s, k in rows:
-        row = base[b, s].copy()
-        for p in at_k.get(k, ()):
-            row[p] = entry[(b, s), cols[p][:2], True]
-        grid.append(tuple(row))
-    return tuple(grid)
-
-
-def q3_grid(n: int, params=None) -> Grid:
-    """The (6n-6)-square coefficient grid read off :data:`Q3_TABLE` for
-    each pair of labels: Fractions, and for ``SYMBOLIC`` params the
-    table's names "x1".."x22" where x1..x22 stand."""
-    if n < 2:
-        return ()
-    labels = z3_labels(n, 1, 2)
-    return _q3_grid(labels, labels, _resolve_params(params))
-
-
 # The labels of the pair (1, 2) whose k is i or j, and the six k-classes
 # (block, side) that every other k carries once, in z3_labels order.
 Q3_FIXED = tuple(lab for lab in z3_labels(4, 1, 2) if lab[2] in (1, 2))
@@ -268,14 +225,46 @@ Q3_CLASSES = tuple(lab[:2] for lab in z3_labels(4, 1, 2) if lab[2] == 3)
 
 
 def q3_blocks(params=None) -> Tuple[Grid, Grid, Grid, Grid]:
-    """The 6x6 grids (F, G, A, B) that give every entry of every Q3(n):
-    fixed x fixed, fixed x class, class x class at one k and class x
-    class at two different k, read at k = 3 and 4; ``params`` as for
-    :func:`q3_grid`."""
+    """The 6x6 grids (F, G, A, B) of every Q3(n), read off :data:`Q3_TABLE`
+    at k = 3 and 4: Fractions, one per int rule, and for ``SYMBOLIC``
+    params the table's names "x1".."x22" where x1..x22 stand."""
     vals = _resolve_params(params)
+    fractions = SharedFractions()
+
+    def value(rule) -> Entry:
+        if isinstance(rule, int):
+            return fractions[rule]
+        return rule if vals is None else vals[int(rule[1:])]
+
     at3, at4 = ([(b, s, k) for b, s in Q3_CLASSES] for k in (3, 4))
-    return (_q3_grid(Q3_FIXED, Q3_FIXED, vals), _q3_grid(Q3_FIXED, at3, vals),
-            _q3_grid(at3, at3, vals), _q3_grid(at3, at4, vals))
+    return tuple(tuple(tuple(value(_q3_rule(u, v)) for v in cols) for u in rows)
+                 for rows, cols in ((Q3_FIXED, Q3_FIXED), (Q3_FIXED, at3),
+                                    (at3, at3), (at3, at4)))
+
+
+def _q3_places(n: int) -> List[Tuple[int, int]]:
+    """(p, k) for each position of ``z3_labels(n, 1, 2)``: the fixed
+    position Q3_FIXED[p] with k = 0, or the class Q3_CLASSES[p] at its k."""
+    return [(Q3_FIXED.index(lab), 0) if lab[2] < 3
+            else (Q3_CLASSES.index(lab[:2]), lab[2]) for lab in z3_labels(n, 1, 2)]
+
+
+def q3_grid(n: int, params=None) -> Grid:
+    """The (6n-6)-square Q3(n), its blocks placed by position: F between
+    two fixed positions, G or G^T between a fixed and a class position, A
+    between two class positions at one k and B at two different k;
+    ``params`` as for :func:`q3_blocks`."""
+    if n < 2:
+        return ()
+    f, g, a, b = q3_blocks(params)
+    gt = tuple(zip(*g))
+    places = _q3_places(n)
+    grid = []
+    for p, k in places:
+        fixed, same, other = (f[p], g[p], g[p]) if not k else (gt[p], a[p], b[p])
+        grid.append(tuple((same if l == k else other)[q] if l else fixed[q]
+                          for q, l in places))
+    return tuple(grid)
 
 
 class Q3Verdict(NamedTuple):
@@ -306,15 +295,12 @@ def decide_q3(n: int, params=None) -> Q3Verdict:
         [rf + rg for rf, rg in zip(f, g)]
         + [col + tuple(x + t * y for x, y in zip(rb, rs))
            for col, rb, rs in zip(zip(*g), b, s)])
-    labels = z3_labels(n, 1, 2)
-    fixed = {lab: p for p, lab in enumerate(Q3_FIXED)}
-    cls = {c: p for p, c in enumerate(Q3_CLASSES)}
+    places = _q3_places(n)
 
     cert = verify_ldlt(RationalMatrix(m))
     if not cert.psd:  # w_F on the fixed positions, w_C/(n-2) on every class
         w = [Fraction(x) for x in cert.witness["vector"]]
-        v = [w[fixed[lab]] if lab in fixed
-             else t * w[len(Q3_FIXED) + cls[lab[:2]]] for lab in labels]
+        v = [t * w[len(Q3_FIXED) + p] if k else w[p] for p, k in places]
         return Q3Verdict(False, vector=tuple(v),
                          value=Fraction(cert.witness["value"]),
                          block=f"M({t})" if n > 2 else "F")
@@ -324,8 +310,7 @@ def decide_q3(n: int, params=None) -> Q3Verdict:
     if not s_cert.psd:  # w at k = 3 and -w at k = 4 give 2 w^T S w
         w = [Fraction(x) for x in s_cert.witness["vector"]]
         sign = {3: 1, 4: -1}
-        v = [sign[lab[2]] * w[cls[lab[:2]]] if lab[2] in sign else Fraction(0)
-             for lab in labels]
+        v = [sign[k] * w[p] if k in sign else Fraction(0) for p, k in places]
         return Q3Verdict(False, vector=tuple(v), block="S",
                          value=2 * Fraction(s_cert.witness["value"]))
     return Q3Verdict(True, nullity=cert.nullity + (n - 3) * s_cert.nullity)

@@ -329,4 +329,6 @@ def quadratic_form(blocks) -> Polynomial:
             m = tuple(sorted(z[u] + z[v]))
             old = acc.get(m)
             acc[m] = w if old is None else old + w
-    return Polynomial(acc)
+    for m in [m for m, c in acc.items() if not c]:  # only a sum cancels
+        del acc[m]
+    return Polynomial._adopt(acc)

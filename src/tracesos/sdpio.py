@@ -283,8 +283,10 @@ def _num_str(x: Scalar) -> str:
 
 def export_sdpa(prob: SdpProblem, path: str) -> None:
     """Write the problem in sparse SDPA format (constraint k as F_k with
-    tr(F_k X) = c_k, X block-diagonal PSD).  Metadata and constraint
-    names travel in leading comment lines so a read-back is lossless."""
+    tr(F_k X) = c_k, X block-diagonal PSD).  A body line (k, b, i, j)
+    with i < j gives F_ij and F_ji both, so it carries half the
+    constraint's weight on X_ij.  Metadata and constraint names travel in
+    leading comment lines so a read-back is lossless."""
     lines = ["* tracesos coefficient-matching SDP"]
     lines.append(f"* meta m={prob.m} r={prob.r} n={prob.n} "
                  f"diagonal_a={int(prob.diagonal_a)} basis_hash={prob.basis_hash}")
@@ -296,9 +298,14 @@ def export_sdpa(prob: SdpProblem, path: str) -> None:
     lines.append(str(len(prob.blocks)))
     lines.append(" ".join(str(dim) for _, dim in prob.blocks))
     lines.append(" ".join(_num_str(c.rhs) for c in prob.constraints))
+    texts: Tuple[Dict[Scalar, str], ...] = ({}, {})  # on, off the diagonal
     for idx, con in enumerate(prob.constraints, start=1):
         for (b, u, v), coeff in con.lhs:
-            lines.append(f"{idx} {b + 1} {u + 1} {v + 1} {_num_str(coeff)}")
+            text = texts[u != v].get(coeff)
+            if text is None:
+                text = texts[u != v][coeff] = _num_str(
+                    coeff if u == v else Fraction(coeff) / 2)
+            lines.append(f"{idx} {b + 1} {u + 1} {v + 1} {text}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -312,8 +319,9 @@ def _int(token: str, line: str) -> int:
 
 
 def import_sdpa(path: str) -> SdpProblem:
-    """Read back a problem written by :func:`export_sdpa`; a refusal of a
-    line is a ValueError that names it."""
+    """Read back a problem written by :func:`export_sdpa`, an off-diagonal
+    value doubled back to the weight on X_ij; a refusal of a line is a
+    ValueError that names it."""
     meta: Dict[str, object] = {}
     block_labels: List[str] = []
     con_names: Dict[int, str] = {}
@@ -349,6 +357,7 @@ def import_sdpa(path: str) -> SdpProblem:
     if len(set(block_labels)) != len(block_labels):
         raise ValueError(f"SDPA '* block' labels repeat: {block_labels}")
     parsed: Dict[str, Scalar] = {}  # token -> value, successes only
+    doubled: Dict[str, Scalar] = {}  # token -> twice its value, off the diagonal
 
     def number(token: str, line: str) -> Scalar:
         value = parsed.get(token)
@@ -382,7 +391,10 @@ def import_sdpa(path: str) -> SdpProblem:
             raise ValueError(f"SDPA body line {line!r}: entry outside "
                              f"the {dims[b - 1]}x{dims[b - 1]} block")
         key = (b - 1, i - 1, j - 1)
-        value = number(fields[4], line)
+        if i == j:
+            value = number(fields[4], line)
+        elif (value := doubled.get(fields[4])) is None:
+            value = doubled[fields[4]] = _whole(2 * number(fields[4], line))
         lhs = lhs_map[k]
         lhs[key] = lhs[key] + value if key in lhs else value
     constraints = []

@@ -138,7 +138,7 @@ def test_q3_resolved_per_label_class_is_the_per_entry_walk():
     points = [(None, published_params()), (SYMBOLIC, None)]
     points += [(x, x) for x in _match_points()[1:3]]
     rules = {x for rule in cert84.Q3_TABLE.values() for x in _leaves(rule)}
-    for n in range(2, 10):
+    for n in range(2, 13):
         for params, vals in points:
             grid = q3_grid(n, params)
             assert grid == _q3_grid_per_entry(n, vals), (n, params)

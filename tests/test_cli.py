@@ -61,12 +61,14 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
     # two before the last while Q3 parameters were affine polynomial
     # coefficients.  The first and the last, with their pins and ties,
     # were written without the entry-sum row they used to carry, just
-    # before that row was retired.
+    # before that row was retired.  The three sdp-export pins were retaken
+    # when an off-diagonal SDPA body value came to carry half the weight
+    # on X_ij, as the standard format reads it.
     path = tmp_path / "out"
     for argv, size, digest in (
             (("sdp-export", "--m", "4", "--r", "2", "--n", "3", "--basis",
               "certificate", "--out"), 3882,
-             "24e23adf77bd2ce4fa67b8e2472dc06073402bd06aff9b4d516d6b94ff89fafa"),
+             "839f902f7aaa8628013f1fd19487f35ccbb6ca117338fa50ca1ebf4b5116d715"),
             (("coeff", "--m", "6", "--r", "2", "--n", "2", "--out"), 1859,
              "6813f414cebce4c8a97170f1a16102b16db749123edb749e1534b3e45586346b"),
             (("coeff", "--m", "8", "--r", "4", "--n", "9", "--diagonal-a",
@@ -75,8 +77,8 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
             (("coeff", "--m", "4", "--r", "2", "--n", "6", "--out"), 47085,
              "7bcf1f5f053a13b455405ee9ad46d2fe72185e5c81c9c082561d0812a913f7b1"),
             (("sdp-export", "--m", "8", "--r", "4", "--n", "4", "--diagonal-a",
-              "--basis", "certificate", "--out"), 63969,
-             "3acf65c6a867a71783e2e41f849c83974082ff41347c6582ba05097b806386bc"),
+              "--basis", "certificate", "--out"), 64673,
+             "5d4a466eb57248e3e4c61a0d718e03e515583253741fe0094bd5d4404f606593"),
             (("cert42", "--n", "3", "--emit"), 1548,
              "6f9520ec2490b70504415e67d7807f588b2592a434f0bbd5131de5cd4e5ba08f"),
             (("cert84", "--n", "3", "--params", "symbolic", "--emit"), 1653,
@@ -84,8 +86,8 @@ def test_emitted_bytes_are_pinned(tmp_path, capsys):
             (("paramsys", "--n", "5", "--emit"), 834,
              "8923024f92fc1046f78e1b83f1601257370434c846eca9a9d85cb74f0f491fd1"),
             (("sdp-export", "--m", "8", "--r", "4", "--n", "5", "--diagonal-a",
-              "--basis", "certificate", "--out"), 184153,
-             "e2331760f5dcb479493ab4640a004948fd9f81b8078c7ef156b19228aa1fb8e0")):
+              "--basis", "certificate", "--out"), 185803,
+             "19071882fef7402496a9587ec6b8aa47fcf029f4d1728733ec553ca3469a5526")):
         code, _, _ = run(capsys, *argv, str(path))
         blob = path.read_bytes()
         assert code == 0

@@ -132,6 +132,38 @@ def test_roundtrip_421(tmp_path):
     assert (tmp_path / "p2.dat-s").read_text() == path.read_text()
 
 
+def _sdpa_violations(text, x):
+    """The constraints k of a sparse SDPA file that the block matrices x
+    violate, read as the standard format: a body line (k, b, i, j, v)
+    sets F_k's block b at (i, j) and at (j, i) to v, and constraint k is
+    tr(F_k X) = c_k."""
+    body = [line.split() for line in text.splitlines()
+            if line.strip() and line[0] not in '*"']
+    n_con, c = int(body[0][0]), [Fraction(t) for t in body[3]]
+    f = [{} for _ in range(n_con)]
+    for k, b, i, j, v in body[4:]:
+        for key in ((b, i, j), (b, j, i)):
+            f[int(k) - 1][key] = Fraction(v)
+    return [k + 1 for k in range(n_con)
+            if sum(v * x[int(b) - 1][int(i) - 1][int(j) - 1]
+                   for (b, i, j), v in f[k].items()) != c[k]]
+
+
+@pytest.mark.parametrize("m, n", [(4, 2), (4, 3), (8, 3), (8, 5)])
+def test_published_blocks_satisfy_the_standard_sdpa_reading(tmp_path, m, n):
+    if m == 4:
+        p, basis, cert = (TraceProblem(4, 2, n), certificate_basis_42(n),
+                          build_certificate42(n))
+        x = [cert.q1.rows, cert.q2.rows]
+    else:
+        p, basis, cert = (TraceProblem(8, 4, n, diagonal_a=True),
+                          certificate_basis_84(n), build_certificate84(n))
+        x = [cert.q1.rows, cert.q2.rows, cert.q3]
+    path = tmp_path / "p.dat-s"
+    export_sdpa(build_sdp(p, basis), str(path))
+    assert _sdpa_violations(path.read_text(), x) == []
+
+
 def test_import_rejects_malformed_body_lines(tmp_path, capsys):
     p = TraceProblem(4, 2, 1)
     path = tmp_path / "p.dat-s"
