@@ -338,12 +338,16 @@ _RANDOM_VARS = {(k, i, j): poly.var(k, i, j)
 
 
 def _random_poly(rng: random.Random) -> poly.Polynomial:
+    # randint(a, b) is a + _randbelow(b - a + 1) and choice(s) is
+    # s[_randbelow(len(s))] on every supported Python, so drawing through
+    # _randbelow gives the same polynomials and leaves the same state
+    below = rng._randbelow
     terms = {}
-    for _ in range(rng.randint(0, 4)):
-        deg = rng.randint(0, 8)
-        vs = [_RANDOM_VARS[rng.choice("ab"), rng.randint(1, 3),
-                           rng.randint(1, 3)] for _ in range(deg)]
-        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    for _ in range(below(5)):
+        deg = below(9)
+        vs = [_RANDOM_VARS["ab"[below(2)], below(3) + 1, below(3) + 1]
+              for _ in range(deg)]
+        coeff = Fraction(below(13) - 6, below(4) + 1)
         mono = poly.mono_from_vars(vs)
         terms[mono] = terms.get(mono, 0) + coeff
     return poly.Polynomial(terms)

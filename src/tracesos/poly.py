@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from itertools import groupby
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Var = int
@@ -90,15 +88,34 @@ def mono_key(m: Monomial) -> Tuple:
     return tuple([_REPEAT if x == y else y for x, y in zip((None,) + m, m)])
 
 
-@lru_cache(maxsize=None)
-def _run_text(v: Var, e: int) -> str:
-    text = "{}[{},{}]".format(*var_parts(v))
-    return text if e == 1 else f"{text}^{e}"
+class _RunTexts(dict):
+    """``(variable, exponent)`` -> its text, e.g. ``a[1,2]^2``, made on
+    first use."""
+
+    def __missing__(self, run: Tuple[Var, int]) -> str:
+        v, e = run
+        text = "{}[{},{}]".format(*var_parts(v))
+        self[run] = text = text if e == 1 else f"{text}^{e}"
+        return text
+
+
+_RUN_TEXT = _RunTexts()
 
 
 def mono_str(m: Monomial) -> str:
-    return "*".join([_run_text(v, len(list(run)))
-                     for v, run in groupby(m)]) or "1"
+    """The canonical text, e.g. ``a[1,2]^2*b[1,1]``; "1" for MONO_ONE."""
+    if not m:
+        return "1"
+    parts = []
+    prev, e = m[0], 0
+    for v in m:
+        if v == prev:
+            e += 1
+        else:
+            parts.append(_RUN_TEXT[prev, e])
+            prev, e = v, 1
+    parts.append(_RUN_TEXT[prev, e])
+    return "*".join(parts)
 
 
 def parse_monomial(text: str) -> Monomial:

@@ -24,7 +24,6 @@ Fractions.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from fractions import Fraction
@@ -150,6 +149,7 @@ class RationalMatrix:
     def content_hash(self) -> str:
         blob = json.dumps([[str(x) for x in row] for row in self.rows],
                           separators=(",", ":"))
+        import hashlib  # here, not at start-up: most commands never hash
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -15,7 +15,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -83,6 +82,7 @@ class BasisSpec(_BasisFields):
                     ans[kind].append([list(k), str(x)])
             payload.append({"label": b.label, "vectors": vecs, "ansatz": ans})
         blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        import hashlib  # here, not at start-up: most commands never hash
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -246,11 +246,10 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
                     rows[m] = {key: w}
                 else:
                     row[key] = row.get(key, 0) + w
-    constraints = []
-    for mono in sorted(rows, key=mono_key):
-        lhs = tuple(sorted(rows[mono].items()))
-        rhs = target.terms.get(mono, 0)
-        constraints.append(Constraint("match:" + mono_str(mono), lhs, rhs))
+    make, terms = Constraint._make, target.terms
+    constraints = [make(("match:" + mono_str(mono),
+                         tuple(sorted(rows[mono].items())), terms.get(mono, 0)))
+                   for mono in sorted(rows, key=mono_key)]
     for b_idx, block in enumerate(basis.blocks):
         if block.grid is None:
             continue
@@ -259,15 +258,15 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
             if isinstance(x, str):
                 by_name.setdefault(x, []).append((u, v))
             else:
-                constraints.append(Constraint(
+                constraints.append(make((
                     f"fix:{block.label}:{u},{v}",
-                    (((b_idx, u, v), 1),), _whole(Fraction(x))))
+                    (((b_idx, u, v), 1),), _whole(Fraction(x)))))
         for name in sorted(by_name):
             head, *others = by_name[name]
             for idx, other in enumerate(others):
-                constraints.append(Constraint(
+                constraints.append(make((
                     f"tie:{block.label}:{name}:{idx}",
-                    (((b_idx, *head), 1), ((b_idx, *other), -1)), 0))
+                    (((b_idx, *head), 1), ((b_idx, *other), -1)), 0)))
     return SdpProblem(
         m=p.m, r=p.r, n=p.n, diagonal_a=p.diagonal_a,
         blocks=tuple((b.label, b.dim) for b in basis.blocks),
@@ -279,6 +278,14 @@ def _num_str(x: Scalar) -> str:
         return str(x.numerator)
     # documented precision for non-integers: 17 significant digits
     return repr(float(x))
+
+
+class _OneBased(dict):
+    """0-based index -> the text of its 1-based number, made on first use."""
+
+    def __missing__(self, i: int) -> str:
+        self[i] = text = str(i + 1)
+        return text
 
 
 def export_sdpa(prob: SdpProblem, path: str) -> None:
@@ -299,13 +306,15 @@ def export_sdpa(prob: SdpProblem, path: str) -> None:
     lines.append(" ".join(str(dim) for _, dim in prob.blocks))
     lines.append(" ".join(_num_str(c.rhs) for c in prob.constraints))
     texts: Tuple[Dict[Scalar, str], ...] = ({}, {})  # on, off the diagonal
+    nums = _OneBased()
     for idx, con in enumerate(prob.constraints, start=1):
+        k = str(idx)
         for (b, u, v), coeff in con.lhs:
             text = texts[u != v].get(coeff)
             if text is None:
                 text = texts[u != v][coeff] = _num_str(
                     coeff if u == v else Fraction(coeff) / 2)
-            lines.append(f"{idx} {b + 1} {u + 1} {v + 1} {text}")
+            lines.append(f"{k} {nums[b]} {nums[u]} {nums[v]} {text}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -331,18 +340,19 @@ def import_sdpa(path: str) -> SdpProblem:
             line = line.rstrip("\n")
             if line.startswith(("*", '"')):
                 parts = line[1:].split()
-                if parts[:1] in (["block"], ["con"]) and len(parts) < 2:
+                kind = parts[0] if parts else ""
+                if kind in ("block", "con") and len(parts) < 2:
                     raise ValueError(f"SDPA comment {line!r}: no label")
-                if parts[:1] == ["meta"]:
+                if kind == "meta":
                     pairs = (kv.partition("=")[::2] for kv in parts[1:])
                     meta = {k: v if k == "basis_hash" else _int(v, line)
                             for k, v in pairs}
-                elif parts[:1] == ["block"]:
+                elif kind == "block":
                     block_labels.append(parts[1])
-                elif parts[:1] == ["con"]:
+                elif kind == "con":
                     con_names[_int(parts[1], line)] = " ".join(parts[2:])
-            elif line.strip():
-                body.append(line.strip())
+            elif line := line.strip():
+                body.append(line)
     if len(body) < 4:
         raise ValueError(f"SDPA file has {len(body)} of the 4 header lines "
                          f"(constraints, blocks, block sizes, right-hand side)")
@@ -370,38 +380,60 @@ def import_sdpa(path: str) -> SdpProblem:
     if len(rhs_vals) != n_con:
         raise ValueError(f"SDPA line {body[3]!r}: expected {n_con} "
                          f"right-hand sides")
-    lhs_map: Dict[int, Dict[Tuple[int, int, int], Scalar]] = {
-        k: {} for k in range(1, n_con + 1)}
+    # each distinct "b i j" cell text is checked once and keeps one key,
+    # and a constraint index once per run of lines that repeat its text;
+    # the checks that do run keep the order of a full line's, so a line is
+    # refused as it would be on its own
+    cells: Dict[str, Tuple[int, int, int]] = {}
+    rows: Dict[int, Dict[Tuple[int, int, int], Scalar]] = {}
+    k_text = k = row = None
     for line in body[4:]:
         fields = line.split()
         if len(fields) != 5:
             raise ValueError(f"SDPA body line {line!r}: expected 5 fields")
-        try:
-            k, b, i, j = map(int, fields[:4])
-        except ValueError:
-            raise ValueError(f"SDPA body line {line!r}: expected four integer "
-                             f"indices") from None
-        if not 1 <= k <= n_con:
-            raise ValueError(f"SDPA body line {line!r}: constraint index "
-                             f"outside 1..{n_con}")
-        if not 1 <= b <= n_block:
-            raise ValueError(f"SDPA body line {line!r}: block index "
-                             f"outside 1..{n_block}")
-        if not (1 <= i <= dims[b - 1] and 1 <= j <= dims[b - 1]):
-            raise ValueError(f"SDPA body line {line!r}: entry outside "
-                             f"the {dims[b - 1]}x{dims[b - 1]} block")
-        key = (b - 1, i - 1, j - 1)
-        if i == j:
-            value = number(fields[4], line)
-        elif (value := doubled.get(fields[4])) is None:
-            value = doubled[fields[4]] = _whole(2 * number(fields[4], line))
-        lhs = lhs_map[k]
-        lhs[key] = lhs[key] + value if key in lhs else value
-    constraints = []
-    for k in range(1, n_con + 1):
-        constraints.append(Constraint(
-            con_names.get(k, f"con{k}"),
-            tuple(sorted(lhs_map[k].items())), rhs_vals[k - 1]))
+        k_s, b_s, i_s, j_s, token = fields
+        # the stripped line between its first and last field: the cell
+        # text, which fixes b, i and j
+        cell_text = line[len(k_s):-len(token)]
+        key = cells.get(cell_text)
+        new_k = k_s != k_text
+        if key is None or new_k:
+            try:
+                if new_k:
+                    k = int(k_s)
+                if key is None:
+                    b, i, j = int(b_s), int(i_s), int(j_s)
+            except ValueError:
+                raise ValueError(f"SDPA body line {line!r}: expected four "
+                                 f"integer indices") from None
+            if not 1 <= k <= n_con:
+                raise ValueError(f"SDPA body line {line!r}: constraint index "
+                                 f"outside 1..{n_con}")
+            if key is None:
+                if not 1 <= b <= n_block:
+                    raise ValueError(f"SDPA body line {line!r}: block index "
+                                     f"outside 1..{n_block}")
+                if not (1 <= i <= dims[b - 1] and 1 <= j <= dims[b - 1]):
+                    raise ValueError(f"SDPA body line {line!r}: entry outside "
+                                     f"the {dims[b - 1]}x{dims[b - 1]} block")
+                key = cells[cell_text] = (b - 1, i - 1, j - 1)
+            if new_k:
+                k_text, row = k_s, rows.get(k)
+                if row is None:
+                    row = rows[k] = {}
+        values = parsed if key[1] == key[2] else doubled
+        value = values.get(token)
+        if value is None:
+            value = number(token, line)
+            if values is doubled:
+                value = doubled[token] = _whole(2 * value)
+        old = row.get(key)
+        row[key] = value if old is None else old + value
+    make = Constraint._make
+    constraints = [make((
+        con_names[k] if k in con_names else f"con{k}",
+        tuple(sorted(rows[k].items())) if k in rows else (), rhs))
+        for k, rhs in enumerate(rhs_vals, start=1)]
     labels = block_labels or [f"B{i}" for i in range(n_block)]
     return SdpProblem(
         m=meta.get("m", 0), r=meta.get("r", 0), n=meta.get("n", 0),

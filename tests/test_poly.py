@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracesos import checks
+from tracesos.necklace import TraceProblem, trace_coeff_necklace
 from tracesos.poly import (
     MONO_ONE,
     Polynomial,
@@ -111,6 +112,13 @@ def _runs(m):
     return [(var_parts(v), len(list(run))) for v, run in itertools.groupby(m)]
 
 
+def _run_text(m):
+    """The text of a monomial as one groupby over its runs writes it: each
+    run's variable, with ^e when e > 1, joined by *."""
+    return "*".join(f"{kind}[{i},{j}]" + (f"^{e}" if e > 1 else "")
+                    for (kind, i, j), e in _runs(m)) or "1"
+
+
 def test_mono_key_sorts_as_its_runs():
     a, b = var("a", 1, 1), var("b", 1, 2)
     for low, high in (((a, b, b), (a, a, b)), ((a, a), (a, a, a)),
@@ -126,13 +134,35 @@ def test_mono_key_sorts_as_its_runs():
     assert sorted(monos, key=mono_key) == sorted(monos, key=_runs)
     for x, y in itertools.product(monos[:150], repeat=2):
         assert (mono_key(x) < mono_key(y)) == (_runs(x) < _runs(y)), (x, y)
-    # the text is each run's variable, with ^e when e > 1, joined by *
     assert max(e for m in monos for _, e in _runs(m)) == 8
     assert {var_parts(v)[0] for m in monos for v in m} == {"a", "b"}
     for m in monos + [MONO_ONE]:
-        want = "*".join(f"{kind}[{i},{j}]" + (f"^{e}" if e > 1 else "")
-                        for (kind, i, j), e in _runs(m)) or "1"
-        assert mono_str(m) == want, m
+        assert mono_str(m) == _run_text(m), m
+
+
+@pytest.mark.parametrize("p", [TraceProblem(4, 2, 3),
+                               TraceProblem(8, 4, 5, diagonal_a=True),
+                               TraceProblem(8, 6, 3)])
+def test_mono_str_is_the_run_text_on_target_monomials(p):
+    terms = trace_coeff_necklace(p).terms
+    assert max(e for m in terms for _, e in _runs(m)) > 1
+    for m in terms:
+        assert mono_str(m) == _run_text(m), m
+        assert parse_monomial(mono_str(m)) == m
+
+
+# a few variables, indices up to the largest, drawn with repeats
+wide_variables = st.builds(var, st.sampled_from("ab"), st.integers(1, 16383),
+                           st.integers(1, 16383))
+repeating_monomials = st.lists(wide_variables, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=20)).map(
+    mono_from_vars)
+
+
+@given(repeating_monomials)
+def test_mono_str_is_the_run_text(m):
+    assert mono_str(m) == _run_text(m)
+    assert parse_monomial(mono_str(m)) == m
 
 
 def test_index_canonicalization_merges_products():

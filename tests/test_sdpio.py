@@ -14,7 +14,8 @@ from tracesos.cert42 import build_certificate42
 from tracesos.cert84 import SYMBOLIC, InconsistentSystem, \
     derive_param_system, build_certificate84, published_params
 from tracesos.necklace import TraceProblem, trace_coeff_necklace
-from tracesos.poly import mono_key, mono_str, parse_monomial, var, var_parts
+from tracesos.poly import (mono_key, mono_str, parse_monomial, read_number,
+                           var, var_parts)
 from tracesos.sdpio import (
     BasisBlock,
     BasisSpec,
@@ -193,6 +194,148 @@ def test_import_rejects_malformed_body_lines(tmp_path, capsys):
     with pytest.raises(ValueError, match=re.escape(f"SDPA line {bad!r}")):
         import_sdpa(str(tampered))
 
+
+
+def _export_lines(tmp_path, p, basis):
+    path = tmp_path / "p.dat-s"
+    export_sdpa(build_sdp(p, basis), str(path))
+    lines = path.read_text().splitlines()
+    start = next(idx for idx, line in enumerate(lines) if line[0] != "*")
+    return lines, start + 4  # the file's lines, the index of its first body line
+
+
+def _import_lines(tmp_path, lines):
+    path = tmp_path / "edited.dat-s"
+    path.write_text("\n".join(lines) + "\n")
+    return import_sdpa(str(path))
+
+
+def _first_body_refusal(body, n_con, dims):
+    """The refusal of the first bad body line when each line is checked in
+    full on its own: fields, four integers, k, b, then (i, j), then the
+    value."""
+    for line in body:
+        fields = line.split()
+        if len(fields) != 5:
+            return f"SDPA body line {line!r}: expected 5 fields"
+        try:
+            k, b, i, j = map(int, fields[:4])
+        except ValueError:
+            return f"SDPA body line {line!r}: expected four integer indices"
+        if not 1 <= k <= n_con:
+            return (f"SDPA body line {line!r}: constraint index outside "
+                    f"1..{n_con}")
+        if not 1 <= b <= len(dims):
+            return (f"SDPA body line {line!r}: block index outside "
+                    f"1..{len(dims)}")
+        d = dims[b - 1]
+        if not (1 <= i <= d and 1 <= j <= d):
+            return f"SDPA body line {line!r}: entry outside the {d}x{d} block"
+        try:
+            read_number(fields[4], f"SDPA line {line!r}")
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def test_reused_cell_with_a_bad_constraint_index_is_refused(tmp_path):
+    # the bad line reuses the cell of the first body line, checked there;
+    # only its constraint index is new, and that is still checked and named
+    lines, at = _export_lines(tmp_path, TraceProblem(4, 2, 2),
+                              certificate_basis_42(2))
+    n_con = int(lines[at - 4])
+    k, b, i, j, v = lines[at].split()
+    for bad_k, why in ((str(n_con + 1), f"constraint index outside 1..{n_con}"),
+                       ("0", f"constraint index outside 1..{n_con}"),
+                       ("x", "expected four integer indices"),
+                       ("1.5", "expected four integer indices")):
+        for where in (len(lines), at + 1):  # after the last line, or early
+            bad = f"{bad_k} {b} {i} {j} {v}"
+            edited = lines[:where] + [bad] + lines[where:]
+            with pytest.raises(ValueError) as err:
+                _import_lines(tmp_path, edited)
+            assert str(err.value) == f"SDPA body line {bad!r}: {why}"
+
+
+def test_first_refusal_is_the_one_of_lines_checked_on_their_own(tmp_path):
+    lines, at = _export_lines(tmp_path, TraceProblem(4, 2, 2),
+                              certificate_basis_42(2))
+    n_con = int(lines[at - 4])
+    dims = [int(t) for t in lines[at - 2].split()]
+    body = lines[at:]
+    faults = {  # one fault each, written into a line's fields
+        "fields": lambda f: f + ["7"],
+        "k text": lambda f: ["x"] + f[1:],
+        "k range": lambda f: [str(n_con + 1)] + f[1:],
+        "b text": lambda f: f[:1] + ["y"] + f[2:],
+        "b range": lambda f: f[:1] + [str(len(dims) + 1)] + f[2:],
+        "i range": lambda f: f[:2] + ["9"] + f[3:],
+        "j text": lambda f: f[:3] + ["1.0"] + f[4:],
+        "value": lambda f: f[:4] + ["1/0"],
+        "new cell": lambda f: f[:1] + [f[1], "01", f[3], f[4]],  # valid
+    }
+    seen = set()
+    # two faults on two lines, the second on a line whose cell the first
+    # line shares or not, and two faults on one line
+    for (name1, f1), (name2, f2) in itertools.product(faults.items(),
+                                                      repeat=2):
+        for p1, p2 in ((0, 1), (2, len(body) - 1), (len(body) - 1,) * 2):
+            edited = [line.split() for line in body]
+            edited[p1] = f1(edited[p1])
+            edited[p2] = f2(edited[p2])
+            texts = [" ".join(f) for f in edited]
+            want = _first_body_refusal(texts, n_con, dims)
+            try:
+                _import_lines(tmp_path, lines[:at] + texts)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (name1, name2, p1, p2)
+            seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_duplicate_lines_of_one_constraint_and_cell_are_summed(tmp_path):
+    p, basis = TraceProblem(4, 2, 2), certificate_basis_42(2)
+    prob = build_sdp(p, basis)
+    lines, at = _export_lines(tmp_path, p, basis)
+    first, last = lines[at], lines[-1]
+    # one copy right after its line, one after every other constraint's
+    edited = lines[:at + 1] + [first] + lines[at + 1:] + [first, last]
+    got = _import_lines(tmp_path, edited)
+    k1, k2 = int(first.split()[0]), int(last.split()[0])
+    want = list(prob.constraints)
+    for k, times in ((k1, 3), (k2, 2)):
+        key = tuple(int(t) - 1 for t in lines[at if k == k1 else -1].split()[1:4])
+        lhs = dict(want[k - 1].lhs)
+        lhs[key] *= times
+        want[k - 1] = want[k - 1]._replace(lhs=tuple(sorted(lhs.items())))
+    assert got.constraints == tuple(want)
+
+
+def test_constraints_sharing_a_cell_share_its_key(tmp_path):
+    p = TraceProblem(8, 4, 3, diagonal_a=True)
+    prob = build_sdp(p, certificate_basis_84(3))
+    path = tmp_path / "p.dat-s"
+    export_sdpa(prob, str(path))
+    again = import_sdpa(str(path))
+    assert again == prob
+    keys = {}
+    for con in again.constraints:
+        for key, _ in con.lhs:
+            assert keys.setdefault(key, key) is key, (con.name, key)
+    # every Gram cell of every block occurs, each with one key object
+    assert len(keys) == sum(d * (d + 1) // 2 for _, d in prob.blocks)
+    assert sum(len(con.lhs) for con in again.constraints) > 2 * len(keys)
+
+
+def test_cells_whose_fields_run_together_stay_apart(tmp_path):
+    # "1 12" and "11 2" (and a tab for a space) are different cells
+    lines = ["2", "1", "12", "3 5", "1 1 1 12 1", "1 1 11 2 1",
+             "2 1\t1 12 5", "2 1 11\t2 1/2"]
+    got = _import_lines(tmp_path, lines)
+    assert [c.lhs for c in got.constraints] == [
+        (((0, 0, 11), 2), ((0, 10, 1), 2)), (((0, 0, 11), 10), ((0, 10, 1), 1))]
 
 
 def test_import_rejects_malformed_header_lines(tmp_path, capsys):
