@@ -74,9 +74,9 @@ from .poly import (
     Monomial,
     Polynomial,
     Scalar,
+    match_rows,
     mono_from_vars,
     mono_key,
-    mono_mul,
     mono_str,
     quadratic_form,
     var,
@@ -551,9 +551,9 @@ def coefficient_match_equations(n: int) -> ParamSystem:
 
     The squares minus the necklace oracle's coefficient polynomial are
     S(0) + sum_k x_k*S_k: S(0) assembles the certificate at x = 0 and
-    subtracts the target, and one pass over the upper triangle of the
-    symbolic Q3 adds each entry named x_k, weight 1 on the diagonal and
-    2 off it, to S_k at the product of its two z3 monomials.  Each
+    subtracts the target, and one :func:`match_rows` pass over the upper
+    triangle of the symbolic Q3 adds each entry named x_k, weight 1 on the
+    diagonal and 2 off it, to S_k at the product of two z3 monomials.  Each
     monomial gives one canonical equation.  Below n = 4 some entry
     classes never meet a monomial, so the system comes out weaker.  A
     parameter-free coefficient is named at its lowest monomial.
@@ -565,11 +565,7 @@ def coefficient_match_equations(n: int) -> ParamSystem:
     named = [(u, v, int(x[1:]), 1 if u == v else 2)
              for u, row in enumerate(q3_grid(n, SYMBOLIC))
              for v, x in enumerate(row[u:], u) if isinstance(x, str)]
-    linear: Dict[Monomial, Dict[int, int]] = {}
-    for z3 in cert.z3_family.values():
-        for u, v, k, w in named:
-            coeffs = linear.setdefault(mono_mul(z3[u], z3[v]), {})
-            coeffs[k] = coeffs.get(k, 0) + w
+    linear = match_rows({}, [(named, cert.z3_family.values())])
     fixed = [m for m in s0.terms if m not in linear]
     if fixed:
         mono = min(fixed, key=mono_key)

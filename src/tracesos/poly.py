@@ -17,8 +17,8 @@ a repeated variable listed once per factor (a[1,2]^2*b[1,1] is
 (a[1,2], a[1,2], b[1,1])), so a product is one sort of the concatenated
 tuples and equality and hashing are structural.  Output orders monomials
 by :func:`mono_key`, a flat key with the order of their (variable,
-exponent) runs.  A whole sum of squares is expanded by one
-:func:`quadratic_form` call into one term map.
+exponent) runs.  The kernels that add Gram weights at products z[u]*z[v]
+are :func:`quadratic_form` (one term map) and :func:`match_rows` (keyed rows).
 """
 
 from __future__ import annotations
@@ -349,3 +349,18 @@ def quadratic_form(blocks) -> Polynomial:
     for m in [m for m, c in acc.items() if not c]:  # only a sum cancels
         del acc[m]
     return Polynomial._adopt(acc)
+
+
+def match_rows(rows, blocks):
+    """For each ``(cells, vectors)`` block, vector z and cell ``(u, v, key,
+    w)``, add w at ``key`` in the row of z[u]*z[v]; ``rows`` maps monomials
+    to rows ``{key: weight}``, a row is made on first use.  Returns rows."""
+    for cells, vectors in blocks:
+        for z in vectors:
+            for u, v, key, w in cells:
+                m = tuple(sorted(z[u] + z[v]))
+                row = rows.get(m)
+                if row is None:
+                    row = rows[m] = {}
+                row[key] = row.get(key, 0) + w
+    return rows

@@ -27,8 +27,8 @@ from .cert42 import build_certificate42
 from .cert84 import (SYMBOLIC, Entry, Grid, InconsistentSystem, ParamSystem,
                      build_certificate84, canonical_equation)
 from .necklace import TraceProblem, trace_coeff_necklace
-from .poly import (Monomial, Scalar, _whole, mono_from_vars, mono_key,
-                   mono_mul, mono_str, read_number, var, var_parts)
+from .poly import (Monomial, Scalar, _whole, match_rows, mono_from_vars,
+                   mono_key, mono_str, read_number, var, var_parts)
 from .psdcert import (PsdCertificate, RationalMatrix, _integer_rows,
                       verify_charpoly_signs)
 
@@ -233,19 +233,10 @@ def build_sdp(p: TraceProblem, basis: BasisSpec,
     a ``tie:`` from the first entry of each name to every later one.
     """
     target = trace_coeff_necklace(p, budget=budget)
-    rows: Dict[Monomial, Dict[Tuple[int, int, int], int]] = {
-        m: {} for m in target.terms}
-    for b_idx, block in enumerate(basis.blocks):
-        cells = [(u, v, (b_idx, u, v), 1 if u == v else 2)
-                 for u, v in _upper(block.dim)]
-        for vec in block.vectors:
-            for u, v, key, w in cells:
-                m = mono_mul(vec[u], vec[v])
-                row = rows.get(m)
-                if row is None:
-                    rows[m] = {key: w}
-                else:
-                    row[key] = row.get(key, 0) + w
+    rows = match_rows({m: {} for m in target.terms}, (  # one block's cells at a time
+        ([(u, v, (b_idx, u, v), 1 if u == v else 2)
+          for u, v in _upper(block.dim)], block.vectors)
+        for b_idx, block in enumerate(basis.blocks)))
     make, terms = Constraint._make, target.terms
     constraints = [make(("match:" + mono_str(mono),
                          tuple(sorted(rows[mono].items())), terms.get(mono, 0)))
@@ -547,8 +538,9 @@ def rationalize_and_verify(prob: SdpProblem,
 def reduce_to_parameters(prob: SdpProblem,
                          basis: BasisSpec) -> Tuple[ParamSystem, int]:
     """Restate the matching constraints over the parameters of the basis'
-    grids: a pinned entry adds to the constant, an entry named x_k to
-    the coefficient of x_k.
+    grids, each grid cell read once as (k, value): a pinned entry adds its
+    value to the constant (k = 0), an entry named x_k adds 1 to the
+    coefficient of x_k.
 
     Returns the resulting system plus the number of parameter-free
     matching constraints that were checked as exact constant identities.
@@ -557,31 +549,27 @@ def reduce_to_parameters(prob: SdpProblem,
     """
     if prob.basis_hash != basis.content_hash():
         raise ValueError("problem was built from a different basis")
-    grid_at: Dict[Tuple[int, int, int], Entry] = {
-        (b_idx, u, v): _whole(x)
+    cell_at: Dict[Tuple[int, int, int], Tuple[int, Scalar]] = {
+        (b_idx, u, v): (int(x[1:]), 1) if isinstance(x, str) else (0, _whole(x))
         for b_idx, block in enumerate(basis.blocks) if block.grid is not None
         for (u, v), x in block.entries()}
     equations = []
     checked = 0
     for con in prob.match_constraints():
-        const: Scalar = 0
-        coeffs: Dict[int, Scalar] = {}
+        form: Dict[int, Scalar] = {}  # {0: const, k: coefficient of x_k}
         for key, coeff in con.lhs:
-            x = grid_at.get(key)
-            if x is None:
+            cell = cell_at.get(key)
+            if cell is None:
                 raise InconsistentSystem(f"free Gram entry {key} in {con.name}")
-            if isinstance(x, str):
-                k = int(x[1:])
-                coeffs[k] = coeffs.get(k, 0) + coeff
-            else:
-                const += coeff * x
-        coeffs = {k: c for k, c in coeffs.items() if c != 0}
-        if not coeffs:
+            k, x = cell
+            form[k] = form.get(k, 0) + coeff * x
+        const = form.pop(0, 0)
+        if not any(form.values()):
             if const != con.rhs:
                 raise InconsistentSystem(
                     f"constant identity fails in {con.name}: "
                     f"{const} != {con.rhs}")
             checked += 1
         else:
-            equations.append(canonical_equation(coeffs, con.rhs - const))
+            equations.append(canonical_equation(form, con.rhs - const))
     return ParamSystem.from_equations(equations), checked

@@ -12,6 +12,7 @@ from tracesos.necklace import TraceProblem, trace_coeff_necklace
 from tracesos.poly import (
     MONO_ONE,
     Polynomial,
+    match_rows,
     mono_from_vars,
     mono_key,
     mono_mul,
@@ -444,3 +445,44 @@ def test_quadratic_form_on_a_grid_of_fresh_entries():
         assert (quadratic_form([(FreshGrid(fresh), z)])
                 == quadratic_form([(fresh, z)])
                 == quadratic_form_reference([(fresh, z)])), den
+
+
+@st.composite
+def match_blocks(draw):
+    """``(cells, vectors)`` blocks over small monomial vectors: keys come
+    from three, so cells within and across blocks repeat them, and cells
+    repeat positions; weights are 1 or 2."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(1, 3))
+        index = st.integers(0, d - 1)
+        cells = draw(st.lists(st.tuples(
+            index, index, st.sampled_from([1, 2, (0, 1, 2)]),
+            st.sampled_from([1, 2])), max_size=6))
+        vectors = draw(st.lists(
+            st.lists(monomials, min_size=d, max_size=d), max_size=3))
+        blocks.append((cells, vectors))
+    return blocks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(match_blocks(), st.lists(monomials, max_size=3))
+def test_match_rows_columns_are_the_weighted_products(blocks, seeds):
+    columns = {}  # reference: key -> sum of w * z[u] * z[v] as Polynomials
+    products = set()
+    for cells, vectors in blocks:
+        for z in vectors:
+            for u, v, key, w in cells:
+                product = Polynomial.monomial(z[u]) * Polynomial.monomial(z[v])
+                columns[key] = columns.get(key, Polynomial.zero()) + (
+                    product.scale(w))
+                products.update(product.terms)
+    seeded = {m: {} for m in seeds}
+    rows = match_rows(seeded, blocks)
+    assert rows is seeded
+    assert set(rows) == set(seeds) | products
+    assert all(rows[m] == {} for m in seeds if m not in products)
+    for key in (1, 2, (0, 1, 2)):
+        column = Polynomial({m: row[key] for m, row in rows.items()
+                             if key in row})
+        assert column == columns.get(key, Polynomial.zero()), key

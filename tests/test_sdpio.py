@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tracesos import sdpio
 from tracesos.cert42 import build_certificate42
 from tracesos.cert84 import SYMBOLIC, InconsistentSystem, \
-    derive_param_system, build_certificate84, published_params
+    coefficient_match_equations, derive_param_system, build_certificate84, \
+    published_params
 from tracesos.necklace import TraceProblem, trace_coeff_necklace
 from tracesos.poly import (mono_key, mono_str, parse_monomial, read_number,
                            var, var_parts)
@@ -465,6 +466,19 @@ def test_reduction_to_parameters_gives_full_system(n):
     prob = build_sdp(TraceProblem(8, 4, n, diagonal_a=True), basis)
     system, _ = reduce_to_parameters(prob, basis)
     assert system.equivalent(derive_param_system(5))
+
+
+@pytest.mark.parametrize("n, count", [(2, 3), (3, 9), (4, 11), (5, 11),
+                                      (6, 11)])
+def test_reduction_to_parameters_is_the_matched_system(n, count):
+    # build_sdp's rows and coefficient_match_equations' pass both come from
+    # poly.match_rows: over the certificate basis the SDP, restated over
+    # x1..x22, is the derived system equation for equation
+    basis = certificate_basis_84(n)
+    prob = build_sdp(TraceProblem(8, 4, n, diagonal_a=True), basis)
+    system, _ = reduce_to_parameters(prob, basis)
+    assert system == coefficient_match_equations(n)
+    assert len(system.equations) == count
 
 
 def test_certificate_basis_grids_are_the_symbolic_certificate():
